@@ -1,0 +1,185 @@
+/**
+ * @file
+ * Flat-epoch scaling harness: how AllocationService::tick() grows
+ * with the number of flat agents.
+ *
+ * One in-process service per population N (ServiceConfig defaults:
+ * SI/EF checks and enforcement on, memory-only), each preloaded with
+ * N two-resource agents whose elasticities are seeded draws from
+ * [0.05, 0.95] printed to four decimals, the way perfbench's
+ * flat_epoch generates them. Every round visits every population in
+ * a rotating order and applies 16 UPDATEs of random agents, then
+ * times one tick(), so a change in host speed lands on all sizes
+ * alike. Prints p50/p99 per N and how many rows the EF check
+ * evaluated pair by pair, and writes the BENCH records:
+ *
+ *   bench_flat_tick [--out BENCH_flat_tick.json]
+ *
+ * scripts/check_tick_scaling.py gates the records: TICK p99 may grow
+ * by at most N log N per doubling of N, plus a fixed slack.
+ */
+
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "svc/allocation_service.hh"
+
+namespace {
+
+using namespace ref;
+
+constexpr int kUpdatesPerTick = 16;
+constexpr std::size_t kSizes[] = {256, 512, 1024, 2048, 4096, 8192};
+constexpr std::size_t kTicks = 1000;
+constexpr std::uint64_t kSeed = 1;
+
+/** The BENCH output path from `--out FILE`; empty prints only. */
+std::string
+parseOut(int argc, char **argv)
+{
+    if (argc == 1)
+        return {};
+    if (argc == 3 && std::string(argv[1]) == "--out")
+        return argv[2];
+    std::fprintf(stderr, "usage: bench_flat_tick [--out FILE]\n");
+    std::exit(2);
+}
+
+/** One population under test. */
+struct Population
+{
+    std::size_t agents = 0;
+    std::unique_ptr<svc::AllocationService> service;
+    std::mt19937_64 rng;
+    std::vector<double> tickNs;
+    std::vector<std::size_t> rowsScanned;
+
+    linalg::Vector elasticities()
+    {
+        std::uniform_real_distribution<double> draw(0.05, 0.95);
+        return {std::round(draw(rng) * 1e4) / 1e4,
+                std::round(draw(rng) * 1e4) / 1e4};
+    }
+
+    std::string name(std::size_t k) const
+    {
+        return "agent" + std::to_string(k);
+    }
+};
+
+/** Nearest-rank percentile of an unsorted sample. */
+template <typename T>
+T
+percentile(std::vector<T> sample, double q)
+{
+    std::sort(sample.begin(), sample.end());
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sample.size())));
+    return sample[std::max<std::size_t>(rank, 1) - 1];
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const std::string outPath = parseOut(argc, argv);
+
+    std::vector<Population> populations(std::size(kSizes));
+    for (std::size_t p = 0; p < populations.size(); ++p) {
+        Population &population = populations[p];
+        population.agents = kSizes[p];
+        population.rng.seed(kSeed * 1000003 + population.agents);
+        population.service = std::make_unique<svc::AllocationService>();
+        for (std::size_t k = 0; k < population.agents; ++k)
+            population.service->admit(population.name(k),
+                                      population.elasticities());
+        population.service->tick();
+        population.tickNs.reserve(kTicks);
+    }
+
+    for (std::size_t round = 0; round < kTicks; ++round) {
+        for (std::size_t step = 0; step < populations.size(); ++step) {
+            Population &population =
+                populations[(round + step) % populations.size()];
+            std::uniform_int_distribution<std::size_t> pick(
+                0, population.agents - 1);
+            for (int u = 0; u < kUpdatesPerTick; ++u)
+                population.service->update(
+                    population.name(pick(population.rng)),
+                    population.elasticities());
+            const auto start = std::chrono::steady_clock::now();
+            const svc::EpochResult result = population.service->tick();
+            const auto stop = std::chrono::steady_clock::now();
+            if (!result.envyFreeness.satisfied ||
+                !result.sharingIncentives.satisfied) {
+                std::fprintf(stderr, "N=%zu: SI/EF violated\n",
+                             population.agents);
+                return 1;
+            }
+            population.tickNs.push_back(static_cast<double>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    stop - start)
+                    .count()));
+            population.rowsScanned.push_back(
+                result.envyWork.rowsScanned);
+        }
+    }
+
+    std::printf("%8s %8s %12s %12s %12s %14s %14s\n", "agents",
+                "ticks", "mean_ms", "p50_ms", "p99_ms",
+                "rows_scan_p50", "rows_scan_max");
+    std::ostringstream json;
+    json << "[\n";
+    for (std::size_t p = 0; p < populations.size(); ++p) {
+        const Population &population = populations[p];
+        double total = 0;
+        for (const double ns : population.tickNs)
+            total += ns;
+        const double mean = total / static_cast<double>(kTicks);
+        const double p50 = percentile(population.tickNs, 0.50);
+        const double p99 = percentile(population.tickNs, 0.99);
+        std::printf("%8zu %8zu %12.3f %12.3f %12.3f %14zu %14zu\n",
+                    population.agents, kTicks, mean / 1e6,
+                    p50 / 1e6, p99 / 1e6,
+                    percentile(population.rowsScanned, 0.50),
+                    *std::max_element(population.rowsScanned.begin(),
+                                      population.rowsScanned.end()));
+        json << "  {\n"
+             << "    \"name\": \"flat_tick_N" << population.agents
+             << "\",\n"
+             << "    \"wall_ns\": " << static_cast<std::uint64_t>(mean)
+             << ",\n"
+             << "    \"iterations\": " << kTicks << ",\n"
+             << "    \"agents\": " << population.agents << ",\n"
+             << "    \"tick_p50_ns\": "
+             << static_cast<std::uint64_t>(p50) << ",\n"
+             << "    \"tick_p99_ns\": "
+             << static_cast<std::uint64_t>(p99) << "\n"
+             << "  }" << (p + 1 < populations.size() ? "," : "")
+             << "\n";
+    }
+    json << "]\n";
+
+    if (!outPath.empty()) {
+        std::ofstream out(outPath);
+        out << json.str();
+        if (!out) {
+            std::fprintf(stderr, "bench_flat_tick: cannot write %s\n",
+                         outPath.c_str());
+            return 1;
+        }
+    }
+    return 0;
+}

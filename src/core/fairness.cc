@@ -1,9 +1,13 @@
 #include "fairness.hh"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
+#include "util/exact_sum.hh"
 #include "util/logging.hh"
 
 namespace ref::core {
@@ -64,8 +68,9 @@ checkSharingIncentives(const AgentList &agents,
 }
 
 PropertyCheck
-checkEnvyFreeness(const AgentList &agents, const Allocation &allocation,
-                  const FairnessTolerance &tol)
+checkEnvyFreenessPairwise(const AgentList &agents,
+                          const Allocation &allocation,
+                          const FairnessTolerance &tol)
 {
     requireShapes(agents, allocation);
 
@@ -99,6 +104,425 @@ checkEnvyFreeness(const AgentList &agents, const Allocation &allocation,
                 check.satisfied = false;
         }
     }
+    return check;
+}
+
+namespace {
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+/** Unit round-off u = 2^-53 of binary64 round-to-nearest. */
+constexpr double kUnitRoundoff = 0x1p-53;
+/**
+ * Elasticities the hull filter accepts. Inside this range every
+ * product in its predicates stays a normal double, so the two-product
+ * error terms below are exact; outside it the check scans every row.
+ */
+constexpr double kMinFilteredElasticity = 0x1p-600;
+constexpr double kMaxFilteredElasticity = 0x1p600;
+
+/**
+ * log x_jr of every bundle, taken once. A bundle holding a zero
+ * amount is worth -inf to every agent and keeps no logs, exactly as
+ * CobbDouglasUtility::logValue returns before its later resources;
+ * a negative (or NaN) amount met first makes logValue throw, and the
+ * lowest such bundle is remembered.
+ */
+class BundleLogs
+{
+  public:
+    explicit BundleLogs(const Allocation &allocation)
+        : resources_(allocation.resources()),
+          logs_(allocation.agents() * resources_, 0.0),
+          worthless_(allocation.agents(), 0),
+          firstRejected_(allocation.agents())
+    {
+        for (std::size_t j = allocation.agents(); j-- > 0;) {
+            for (std::size_t r = 0; r < resources_; ++r) {
+                const double amount = allocation.at(j, r);
+                if (!(amount >= 0)) {
+                    firstRejected_ = j;
+                    break;
+                }
+                if (amount == 0) {
+                    worthless_[j] = 1;
+                    break;
+                }
+                logs_[j * resources_ + r] = std::log(amount);
+            }
+        }
+    }
+
+    /** Lowest bundle logValue rejects; agents() when none. */
+    std::size_t firstRejected() const { return firstRejected_; }
+
+    double log(std::size_t j, std::size_t r) const
+    {
+        return logs_[j * resources_ + r];
+    }
+
+    /**
+     * log u(x_j) for an agent with these elasticities and log(a0):
+     * logValue's expression, log(a0) + sum_r a_r log x_jr summed
+     * left to right, so the result is bit-identical to it.
+     */
+    double value(const Vector &alphas, double log_scale,
+                 std::size_t j) const
+    {
+        if (worthless_[j])
+            return -kInfinity;
+        double total = log_scale;
+        const double *logs = &logs_[j * resources_];
+        for (std::size_t r = 0; r < resources_; ++r)
+            total += alphas[r] * logs[r];
+        return total;
+    }
+
+  private:
+    std::size_t resources_;
+    std::vector<double> logs_;
+    std::vector<char> worthless_;
+    std::size_t firstRejected_;
+};
+
+/**
+ * The pairwise loop's running state, restricted to the rows scanned:
+ * the first pair in row-major order that reaches the minimum, and
+ * whether any pair broke the tolerance.
+ */
+struct EnvyScan
+{
+    double worst = kInfinity;
+    std::size_t agent = 0;
+    std::size_t rival = 0;
+    bool hasBinding = false;
+    bool satisfied = true;
+    std::size_t rows = 0;
+};
+
+/** Every pair (i, j), j != i, with the pairwise loop's arithmetic. */
+void
+scanRow(const AgentList &agents, const BundleLogs &logs,
+        const std::vector<double> &own,
+        const std::vector<double> &log_scale, std::size_t i,
+        const FairnessTolerance &tol, EnvyScan &scan)
+{
+    const Vector &alphas = agents[i].utility().elasticities();
+    for (std::size_t j = 0; j < agents.size(); ++j) {
+        if (j == i)
+            continue;
+        const double other = logs.value(alphas, log_scale[i], j);
+        // Both bundles worthless: no envy either way.
+        const double slack = std::isinf(own[i]) && std::isinf(other)
+                                 ? 0.0
+                                 : own[i] - other;
+        if (slack < scan.worst) {
+            scan.worst = slack;
+            scan.agent = i;
+            scan.rival = j;
+            scan.hasBinding = true;
+        }
+        if (slack < -tol.utility)
+            scan.satisfied = false;
+    }
+    ++scan.rows;
+}
+
+/** A bundle's point (log x_j0, log x_j1). */
+struct LogPoint
+{
+    double x;
+    double y;
+};
+
+/** The exact value of a*b as an unevaluated sum of two doubles. */
+void
+addProduct(ExactSum &sum, double a, double b)
+{
+    const double product = a * b;
+    sum.add(product);
+    sum.add(std::fma(a, b, -product));
+}
+
+/**
+ * Sign of the orientation determinant (a - c) x (b - c): +1 when
+ * a, b, c turn counter-clockwise, -1 clockwise, 0 collinear. Exact:
+ * Shewchuk's orient2d filter settles almost every call in floating
+ * point and the rest are summed exactly.
+ */
+int
+orientation(const LogPoint &a, const LogPoint &b, const LogPoint &c)
+{
+    const double left = (a.x - c.x) * (b.y - c.y);
+    const double right = (a.y - c.y) * (b.x - c.x);
+    const double det = left - right;
+    // Shewchuk's ccwerrboundA is (3 + 16u)u; 4u covers it.
+    const double bound =
+        4 * kUnitRoundoff * (std::abs(left) + std::abs(right));
+    if (det > bound)
+        return 1;
+    if (-det > bound)
+        return -1;
+    // det = ax*by - ax*cy - cx*by - ay*bx + ay*cx + cy*bx exactly.
+    ExactSum sum;
+    addProduct(sum, a.x, b.y);
+    addProduct(sum, -a.x, c.y);
+    addProduct(sum, -c.x, b.y);
+    addProduct(sum, -a.y, b.x);
+    addProduct(sum, a.y, c.x);
+    addProduct(sum, c.y, b.x);
+    const double exact = sum.round();
+    return (exact > 0) - (exact < 0);
+}
+
+/**
+ * Sign of alpha . (p - q) = alpha0 (px - qx) + alpha1 (py - qy):
+ * whether an agent with these elasticities values bundle p above,
+ * level with, or below bundle q. Exact, with a floating-point filter:
+ * the fast expression rounds five times (two differences, two
+ * products, one sum), so its first-order error is 3u (|t0| + |t1|),
+ * which the 4u bound covers.
+ */
+int
+compareValue(double alpha0, double alpha1, const LogPoint &p,
+             const LogPoint &q)
+{
+    const double t0 = alpha0 * (p.x - q.x);
+    const double t1 = alpha1 * (p.y - q.y);
+    const double diff = t0 + t1;
+    const double bound =
+        4 * kUnitRoundoff * (std::abs(t0) + std::abs(t1));
+    if (diff > bound)
+        return 1;
+    if (-diff > bound)
+        return -1;
+    ExactSum sum;
+    addProduct(sum, alpha0, p.x);
+    addProduct(sum, -alpha0, q.x);
+    addProduct(sum, alpha1, p.y);
+    addProduct(sum, -alpha1, q.y);
+    const double exact = sum.round();
+    return (exact > 0) - (exact < 0);
+}
+
+constexpr std::size_t kNoRival = static_cast<std::size_t>(-1);
+
+/**
+ * One monotone-chain pass over the bundles in @p order. Before each
+ * bundle joins, its own agent queries the upper hull of the bundles
+ * already in, so the answer is that agent's exactly best rival among
+ * them: with both elasticities positive, alpha . q is maximized on
+ * the upper hull, and along it alpha . q rises then falls, so a
+ * galloping binary search on compareValue finds the top. @p mirrored walks the
+ * order backwards (x descending); the chain then keeps x strictly
+ * decreasing and turns the other way.
+ */
+void
+hullPass(const std::vector<std::array<double, 2>> &alphas,
+         const std::vector<LogPoint> &points,
+         const std::vector<std::size_t> &order, bool mirrored,
+         std::vector<std::size_t> &rival)
+{
+    std::vector<std::size_t> chain;
+    chain.reserve(order.size());
+    const std::size_t n = order.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t j = mirrored ? order[n - 1 - k] : order[k];
+        const LogPoint &point = points[j];
+        if (!chain.empty()) {
+            // The top is the first vertex k with value(k + 1) <=
+            // value(k). Gallop back from the chain's end first: the
+            // newest vertex is this bundle's neighbour in the sort
+            // order, and for REF allocations (whose points all lie on
+            // the hull) it is nearly always the answer.
+            const auto [alpha0, alpha1] = alphas[j];
+            const auto rises = [&](std::size_t k) {
+                return compareValue(alpha0, alpha1,
+                                    points[chain[k + 1]],
+                                    points[chain[k]]) > 0;
+            };
+            std::size_t lo = 0;
+            std::size_t hi = chain.size() - 1;
+            for (std::size_t step = 1; hi > 0; step *= 2) {
+                const std::size_t probe = hi > step ? hi - step : 0;
+                if (rises(probe)) {
+                    lo = probe + 1;
+                    break;
+                }
+                hi = probe;
+            }
+            while (lo < hi) {
+                const std::size_t mid = lo + (hi - lo) / 2;
+                if (rises(mid))
+                    lo = mid + 1;
+                else
+                    hi = mid;
+            }
+            rival[j] = chain[lo];
+        }
+        // Of bundles sharing an x, only the highest can top the hull.
+        if (!chain.empty() && points[chain.back()].x == point.x) {
+            if (mirrored)
+                continue;  // y descends: the chain's end is higher.
+            chain.pop_back();  // y ascends: this bundle replaces it.
+        }
+        const int keep = mirrored ? 1 : -1;
+        while (chain.size() >= 2 &&
+               orientation(points[chain[chain.size() - 2]],
+                           points[chain.back()], point) != keep)
+            chain.pop_back();
+        chain.push_back(j);
+    }
+}
+
+/**
+ * The hull filter (R = 2, every amount positive and finite, every
+ * elasticity inside the filtered range, N >= 2). For each agent i it
+ * finds the rival whose bundle i values most, exactly, and from it
+ * U_i, the computed slack against that rival. U = min_i U_i is the
+ * computed slack of a real pair, so the global minimum is at most U;
+ * row i's minimum is at least U_i - D_i, where D_i bounds the
+ * rounding of logValue's expression and of the subtraction (see
+ * DESIGN.md, "Checking EF near-linearly"). Returns the rows with
+ * U_i - D_i <= U, in increasing order: the only ones that can hold
+ * the global minimum.
+ */
+std::vector<std::size_t>
+candidateRows(const AgentList &agents, const BundleLogs &logs,
+              const std::vector<double> &own,
+              const std::vector<double> &log_scale)
+{
+    const std::size_t n = agents.size();
+    std::vector<LogPoint> points(n);
+    std::vector<std::array<double, 2>> alphas(n);
+    struct SortKey
+    {
+        double x;
+        double y;
+        std::size_t j;
+    };
+    std::vector<SortKey> keys(n);
+    double reach0 = 0;
+    double reach1 = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+        points[j] = {logs.log(j, 0), logs.log(j, 1)};
+        const Vector &elasticities = agents[j].utility().elasticities();
+        alphas[j] = {elasticities[0], elasticities[1]};
+        keys[j] = {points[j].x, points[j].y, j};
+        reach0 = std::max(reach0, std::abs(points[j].x));
+        reach1 = std::max(reach1, std::abs(points[j].y));
+    }
+    std::sort(keys.begin(), keys.end(),
+              [](const SortKey &a, const SortKey &b) {
+                  if (a.x != b.x)
+                      return a.x < b.x;
+                  if (a.y != b.y)
+                      return a.y < b.y;
+                  return a.j < b.j;
+              });
+    std::vector<std::size_t> order(n);
+    for (std::size_t k = 0; k < n; ++k)
+        order[k] = keys[k].j;
+    std::vector<std::size_t> before(n, kNoRival);
+    std::vector<std::size_t> after(n, kNoRival);
+    hullPass(alphas, points, order, false, before);
+    hullPass(alphas, points, order, true, after);
+
+    std::vector<double> upper(n);
+    std::vector<double> margin(n);
+    double global = kInfinity;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Vector &elasticities = agents[i].utility().elasticities();
+        double best = -kInfinity;
+        for (const std::size_t j : {before[i], after[i]})
+            if (j != kNoRival)
+                best = std::max(
+                    best, logs.value(elasticities, log_scale[i], j));
+        upper[i] = own[i] - best;
+        global = std::min(global, upper[i]);
+        // logValue rounds 4 times: |error| <= gamma_3 (|log a0| +
+        // sum_r a_r |log x_jr|) for every j; 4u covers gamma_3 and
+        // the rounding of this bound itself.
+        const double value_error =
+            4 * kUnitRoundoff *
+            (std::abs(log_scale[i]) + alphas[i][0] * reach0 +
+             alphas[i][1] * reach1);
+        margin[i] =
+            2 * value_error + 4 * kUnitRoundoff * std::abs(upper[i]);
+    }
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < n; ++i)
+        if (upper[i] - global <= margin[i])
+            rows.push_back(i);
+    return rows;
+}
+
+/** True when the hull filter's error analysis covers the inputs. */
+bool
+filterApplies(const AgentList &agents, const Allocation &allocation)
+{
+    if (allocation.resources() != 2 || agents.size() < 2)
+        return false;
+    for (std::size_t j = 0; j < allocation.agents(); ++j) {
+        for (std::size_t r = 0; r < 2; ++r) {
+            const double amount = allocation.at(j, r);
+            if (!(amount > 0) || !std::isfinite(amount))
+                return false;
+            const double alpha = agents[j].utility().elasticity(r);
+            if (alpha < kMinFilteredElasticity ||
+                alpha > kMaxFilteredElasticity)
+                return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+PropertyCheck
+checkEnvyFreeness(const AgentList &agents, const Allocation &allocation,
+                  const FairnessTolerance &tol, EnvyCheckStats *stats)
+{
+    requireShapes(agents, allocation);
+
+    const std::size_t n = agents.size();
+    const BundleLogs logs(allocation);
+    // The pairwise loop's first error is logValue's on the lowest
+    // bundle it rejects (every bundle is evaluated by row 0 or is
+    // row 0's own): raise exactly that error.
+    if (const std::size_t bad = logs.firstRejected(); bad < n) {
+        agents[bad].utility().logValue(allocation.agentShare(bad));
+        REF_PANIC("logValue accepted bundle " << bad);
+    }
+    std::vector<double> own(n);
+    std::vector<double> log_scale(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto &utility = agents[i].utility();
+        log_scale[i] = std::log(utility.scale());
+        own[i] = logs.value(utility.elasticities(), log_scale[i], i);
+    }
+
+    EnvyScan scan;
+    if (filterApplies(agents, allocation)) {
+        for (const std::size_t i :
+             candidateRows(agents, logs, own, log_scale))
+            scanRow(agents, logs, own, log_scale, i, tol, scan);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            scanRow(agents, logs, own, log_scale, i, tol, scan);
+    }
+
+    PropertyCheck check;
+    check.worstSlack = scan.worst;
+    check.satisfied = scan.satisfied;
+    if (scan.hasBinding) {
+        std::ostringstream detail;
+        detail << "agent '" << agents[scan.agent].name()
+               << "' vs bundle of '" << agents[scan.rival].name()
+               << "' (log-utility slack " << scan.worst << ")";
+        check.binding = detail.str();
+    }
+    if (stats != nullptr)
+        stats->rowsScanned = scan.rows;
     return check;
 }
 

@@ -8,6 +8,7 @@
 #ifndef REF_CORE_FAIRNESS_HH
 #define REF_CORE_FAIRNESS_HH
 
+#include <cstddef>
 #include <string>
 
 #include "core/agent.hh"
@@ -70,11 +71,37 @@ PropertyCheck checkSharingIncentives(
     const AgentList &agents, const SystemCapacity &capacity,
     const Allocation &allocation, const FairnessTolerance &tol = {});
 
+/** Work done by one EF check; never part of its result. */
+struct EnvyCheckStats
+{
+    /** Rows i whose pairs (i, j) were evaluated one by one. */
+    std::size_t rowsScanned = 0;
+};
+
 /**
  * Check EF for every ordered pair (Section 3.2): agent i weakly
  * prefers its own bundle to agent j's.
+ *
+ * Returns exactly what checkEnvyFreenessPairwise returns, bit for
+ * bit: the minimum slack, the first (i, j) in row-major order that
+ * reaches it, and whether any pair breaks the tolerance. Logs are
+ * taken once per bundle. For two resources (the paper's cache and
+ * bandwidth) an exact upper-hull query finds each agent's most
+ * envied bundle in O(log N), and only the rows whose slack could be
+ * the minimum are evaluated pair by pair, so a REF allocation costs
+ * O(N log N). Other resource counts, zero or non-finite amounts and
+ * N < 2 evaluate every row (see DESIGN.md). A non-null @p stats
+ * receives the work done.
  */
 PropertyCheck checkEnvyFreeness(
+    const AgentList &agents, const Allocation &allocation,
+    const FairnessTolerance &tol = {}, EnvyCheckStats *stats = nullptr);
+
+/**
+ * The O(N^2) definition of checkEnvyFreeness, one logValue call per
+ * ordered pair: the oracle the fast check is tested against.
+ */
+PropertyCheck checkEnvyFreenessPairwise(
     const AgentList &agents, const Allocation &allocation,
     const FairnessTolerance &tol = {});
 

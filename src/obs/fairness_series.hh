@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <map>
 #include <mutex>
@@ -45,10 +46,12 @@ struct FairnessSample
     /** True when si/ef margins were computed this epoch (property
      *  checks on and at least one agent live). */
     bool checked = false;
+    // Next to checked: the two flags share one word, so a sample
+    // (one per epoch, kept up to the ring's capacity) is 64 bytes.
+    bool enforced = false;  //!< False: hysteresis held the old plan.
     double siMargin = 1.0;
     double efMargin = 1.0;
     double l1Drift = 0.0;
-    bool enforced = false;  //!< False: hysteresis held the old plan.
     /** Largest relative per-share change vs the enforced allocation
      *  (+inf when the agent set changed). */
     double maxRelativeChange = 0.0;
@@ -123,10 +126,14 @@ class FairnessSeries
     void writeJson(std::ostream &os) const;
 
   private:
-    /** One bounded ring (storage grows lazily toward capacity). */
+    /**
+     * One bounded ring. Storage grows lazily toward capacity in
+     * small blocks: a deque never copies the samples it holds, so
+     * growing costs no transient second buffer.
+     */
     struct Ring
     {
-        std::vector<FairnessSample> ring;
+        std::deque<FairnessSample> ring;
         std::size_t head = 0;
         std::size_t count = 0;
         std::uint64_t appended = 0;

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "util/crc32.hh"
@@ -261,16 +264,23 @@ allocationDrift(const std::vector<std::string> &old_names,
                 const std::vector<std::string> &new_names,
                 const core::Allocation &new_alloc)
 {
+    // Old rows by name (the first row wins, as a front-to-back scan
+    // would); the sums below keep the row order, so the drift is the
+    // same double whatever the lookup.
+    std::unordered_map<std::string_view, std::size_t> old_rows;
+    old_rows.reserve(old_names.size());
+    for (std::size_t j = 0; j < old_names.size(); ++j)
+        old_rows.emplace(old_names[j], j);
+
     double drift = 0;
     std::vector<bool> matched(old_names.size(), false);
     for (std::size_t i = 0; i < new_names.size(); ++i) {
-        std::size_t j = 0;
-        while (j < old_names.size() && old_names[j] != new_names[i])
-            ++j;
-        if (j == old_names.size()) {
+        const auto found = old_rows.find(new_names[i]);
+        if (found == old_rows.end()) {
             drift += bundleMass(new_alloc, i);
             continue;
         }
+        const std::size_t j = found->second;
         matched[j] = true;
         const std::size_t resources =
             std::min(old_alloc.resources(), new_alloc.resources());
@@ -397,8 +407,11 @@ AllocationService::recordFairnessLocked(
  * equal split C/N; EF is each member against every agent's bundle —
  * the same constraints the global check minimizes, re-minimized over
  * the cohort only, so an honest cohort's margin isolates the damage
- * strategic agents do to everyone else. Cost is O(members * N * R),
- * bounded by the global EF check that already ran this epoch.
+ * strategic agents do to everyone else. The logs of the allocation
+ * are taken once per epoch; the rest is O(members * N * R)
+ * multiply-adds, a full pairwise sweep when cohorts cover the whole
+ * population (the global EF check's hull filter does not apply: it
+ * only finds the global minimum, not each cohort's).
  */
 void
 AllocationService::appendCohortFairnessLocked(
@@ -427,11 +440,21 @@ AllocationService::appendCohortFairnessLocked(
     if (members.empty())
         return;
 
+    // log x_jr of every allocated cell, then of the equal split.
+    std::vector<double> logs((count + 1) * resources);
+    for (std::size_t j = 0; j < count; ++j)
+        for (std::size_t r = 0; r < resources; ++r)
+            logs[j * resources + r] =
+                std::log(result.allocation.at(j, r));
+    for (std::size_t r = 0; r < resources; ++r)
+        logs[count * resources + r] = std::log(
+            config_.capacity.capacity(r) / static_cast<double>(count));
+
     const auto logUtility = [&](const linalg::Vector &alphas,
-                                const auto &bundleAt) {
+                                std::size_t row) {
         double log_u = 0;
         for (std::size_t r = 0; r < resources; ++r)
-            log_u += alphas[r] * std::log(bundleAt(r));
+            log_u += alphas[r] * logs[row * resources + r];
         return log_u;
     };
 
@@ -440,22 +463,13 @@ AllocationService::appendCohortFairnessLocked(
         double ef_slack = std::numeric_limits<double>::infinity();
         for (const std::size_t i : rows) {
             const linalg::Vector &alphas = *rescaled[i];
-            const double own = logUtility(alphas, [&](std::size_t r) {
-                return result.allocation.at(i, r);
-            });
-            const double equal =
-                logUtility(alphas, [&](std::size_t r) {
-                    return config_.capacity.capacity(r) /
-                           static_cast<double>(count);
-                });
+            const double own = logUtility(alphas, i);
+            const double equal = logUtility(alphas, count);
             si_slack = std::min(si_slack, own - equal);
             for (std::size_t j = 0; j < count; ++j) {
                 if (j == i)
                     continue;
-                const double theirs =
-                    logUtility(alphas, [&](std::size_t r) {
-                        return result.allocation.at(j, r);
-                    });
+                const double theirs = logUtility(alphas, j);
                 ef_slack = std::min(ef_slack, own - theirs);
             }
         }

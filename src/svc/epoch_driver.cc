@@ -82,10 +82,11 @@ EpochDriver::pooledTick()
     if (config_.verifyIncremental)
         result.incrementalMatchesScratch = tree_->selfCheck();
 
-    // Property checks need the dense allocation and (for EF) an
-    // O(N^2) pairwise sweep, so they only run while the population is
-    // small and the tree is unweighted — exactly the regime where the
-    // flat-REF SI/EF guarantees are the ones being promised.
+    // Property checks need the dense allocation, an O(N) matrix the
+    // pooled tick otherwise never builds, so they only run while the
+    // population is small and the tree is unweighted — exactly the
+    // regime where the flat-REF SI/EF guarantees are the ones being
+    // promised.
     if (config_.checkProperties && !tree_->empty() &&
         tree_->size() <= kPooledPropertyCheckCap &&
         tree_->allUnitGains()) {
@@ -94,7 +95,7 @@ EpochDriver::pooledTick()
         result.sharingIncentives = core::checkSharingIncentives(
             agents, tree_->capacity(), allocation, config_.tolerance);
         result.envyFreeness = core::checkEnvyFreeness(
-            agents, allocation, config_.tolerance);
+            agents, allocation, config_.tolerance, &result.envyWork);
         result.propertiesChecked = true;
     }
 
@@ -144,7 +145,8 @@ EpochDriver::tick()
             agents, registry_->capacity(), result.allocation,
             config_.tolerance);
         result.envyFreeness = core::checkEnvyFreeness(
-            agents, result.allocation, config_.tolerance);
+            agents, result.allocation, config_.tolerance,
+            &result.envyWork);
         result.propertiesChecked = true;
     }
 

@@ -29,10 +29,11 @@ namespace ref::svc {
 
 /**
  * Pooled ticks skip the SI/EF property checks above this population
- * (the EF check is O(N^2) pairwise — exactly the full-population cost
- * pooled mode exists to avoid) and when any pool carries a non-unit
- * weight (weighted trees intentionally favour heavy pools, so the
- * flat equal-split baselines no longer apply).
+ * (the checks read a dense N x R allocation and agent list, and
+ * materializing them is exactly the full-population cost pooled mode
+ * exists to avoid) and when any pool carries a non-unit weight
+ * (weighted trees intentionally favour heavy pools, so the flat
+ * equal-split baselines no longer apply).
  */
 inline constexpr std::size_t kPooledPropertyCheckCap = 1024;
 
@@ -87,6 +88,8 @@ struct EpochResult
      *  agents are live). */
     core::PropertyCheck sharingIncentives;
     core::PropertyCheck envyFreeness;
+    /** Rows the EF check evaluated pair by pair (0 when unchecked). */
+    core::EnvyCheckStats envyWork;
     bool propertiesChecked = false;
     /** Wall time spent computing this tick. */
     std::chrono::nanoseconds latency{0};

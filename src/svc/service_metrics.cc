@@ -110,7 +110,12 @@ ServiceMetrics::ServiceMetrics()
           ">= 1 means the allocation is envy-free")),
       fairnessL1Drift_(registry_.gauge(
           "ref_fairness_l1_drift",
-          "L1 distance between the last two epochs' allocations"))
+          "L1 distance between the last two epochs' allocations")),
+      efRowsScanned_(registry_.gauge(
+          "ref_ef_rows_scanned",
+          "Rows the last checked epoch's envy-freeness check "
+          "evaluated pair by pair (the rest were ruled out by its "
+          "hull filter)"))
 {
     fairnessSiMargin_.set(1.0);
     fairnessEfMargin_.set(1.0);
@@ -133,6 +138,8 @@ ServiceMetrics::recordEpoch(const EpochResult &result)
             siViolations_.add();
         if (!result.envyFreeness.satisfied)
             efViolations_.add();
+        efRowsScanned_.set(
+            static_cast<double>(result.envyWork.rowsScanned));
     }
     if (!result.incrementalMatchesScratch)
         selfCheckFailures_.add();

@@ -172,6 +172,7 @@ class ServiceMetrics
     obs::Gauge &fairnessSiMargin_;
     obs::Gauge &fairnessEfMargin_;
     obs::Gauge &fairnessL1Drift_;
+    obs::Gauge &efRowsScanned_;
 };
 
 } // namespace ref::svc

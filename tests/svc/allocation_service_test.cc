@@ -1,7 +1,12 @@
 #include "svc/allocation_service.hh"
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +17,47 @@ namespace {
 using namespace ref;
 using svc::AllocationService;
 using svc::ServiceConfig;
+
+/**
+ * The quadratic drift the service used to compute, kept verbatim
+ * (front-to-back name scan per row) as the reference for the hashed
+ * lookup.
+ */
+double
+quadraticDrift(const std::vector<std::string> &old_names,
+               const core::Allocation &old_alloc,
+               const std::vector<std::string> &new_names,
+               const core::Allocation &new_alloc)
+{
+    const auto mass = [](const core::Allocation &allocation,
+                         std::size_t row) {
+        double total = 0;
+        for (std::size_t r = 0; r < allocation.resources(); ++r)
+            total += std::abs(allocation.at(row, r));
+        return total;
+    };
+    double drift = 0;
+    std::vector<bool> matched(old_names.size(), false);
+    for (std::size_t i = 0; i < new_names.size(); ++i) {
+        std::size_t j = 0;
+        while (j < old_names.size() && old_names[j] != new_names[i])
+            ++j;
+        if (j == old_names.size()) {
+            drift += mass(new_alloc, i);
+            continue;
+        }
+        matched[j] = true;
+        const std::size_t resources =
+            std::min(old_alloc.resources(), new_alloc.resources());
+        for (std::size_t r = 0; r < resources; ++r)
+            drift +=
+                std::abs(new_alloc.at(i, r) - old_alloc.at(j, r));
+    }
+    for (std::size_t j = 0; j < old_names.size(); ++j)
+        if (!matched[j])
+            drift += mass(old_alloc, j);
+    return drift;
+}
 
 TEST(AllocationService, SnapshotBeforeFirstTickIsEmpty)
 {
@@ -71,6 +117,48 @@ TEST(AllocationService, HysteresisCarriesEnforcementForward)
     // Allocation is fresh but enforcement still names epoch 1.
     EXPECT_EQ(snapshot->enforcement.epoch, enforcedEpoch);
     EXPECT_EQ(service.metrics().hysteresisHolds, 1u);
+}
+
+TEST(AllocationService, DriftMatchesQuadraticReferenceUnderChurn)
+{
+    // Departures shift later rows up, admits append, updates move
+    // shares: the hashed row lookup must reproduce the quadratic
+    // scan's drift bit for bit.
+    AllocationService service;
+    std::mt19937 rng(77);
+    std::uniform_real_distribution<double> elasticity(0.05, 1.0);
+    std::vector<std::string> live;
+    std::uint64_t next = 0;
+    for (int epoch = 0; epoch < 60; ++epoch) {
+        const int moves = 1 + static_cast<int>(rng() % 12);
+        for (int m = 0; m < moves; ++m) {
+            const unsigned roll = rng() % 10;
+            if (live.empty() || roll < 4) {
+                live.push_back("agent" + std::to_string(next++));
+                service.admit(live.back(),
+                              {elasticity(rng), elasticity(rng)});
+            } else if (roll < 7) {
+                service.update(live[rng() % live.size()],
+                               {elasticity(rng), elasticity(rng)});
+            } else {
+                const std::size_t victim = rng() % live.size();
+                service.depart(live[victim]);
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(victim));
+            }
+        }
+        const auto before = service.snapshot();
+        service.tick();
+        const auto after = service.snapshot();
+        const double expected =
+            quadraticDrift(before->agents, before->allocation,
+                           after->agents, after->allocation);
+        const double actual =
+            service.fairnessSeries().samples().back().l1Drift;
+        EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+            << "epoch " << after->epoch << ": " << actual << " vs "
+            << expected;
+    }
 }
 
 TEST(AllocationService, MetricsCountChurnAndEpochs)

@@ -6,6 +6,7 @@
  * properties. Randomized but fully deterministic (fixed seeds).
  */
 
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -115,6 +116,15 @@ TEST(ChurnProperty, AllocationsStayFairUnderChurn)
                                                 tolerance);
         EXPECT_TRUE(ef.satisfied) << "step " << step << ": "
                                   << ef.binding;
+        // The near-linear check must be the pairwise one, bit for bit.
+        const auto pairwise = core::checkEnvyFreenessPairwise(
+            agents, allocation, tolerance);
+        EXPECT_EQ(ef.satisfied, pairwise.satisfied) << "step " << step;
+        EXPECT_EQ(std::memcmp(&ef.worstSlack, &pairwise.worstSlack,
+                              sizeof(double)),
+                  0)
+            << "step " << step;
+        EXPECT_EQ(ef.binding, pairwise.binding) << "step " << step;
     }
 }
 

@@ -121,6 +121,24 @@ TEST(ServiceMetrics, CountsPropertyAndSelfCheckFailures)
     EXPECT_EQ(snapshot.enforcementUpdates, 1u);
 }
 
+TEST(ServiceMetrics, ExportsEnvyRowsScannedGauge)
+{
+    ServiceMetrics metrics;
+    auto checked = cleanEpoch(1, std::chrono::microseconds(1));
+    checked.envyWork.rowsScanned = 7;
+    metrics.recordEpoch(checked);
+    // An unchecked epoch leaves the last checked epoch's value.
+    auto unchecked = cleanEpoch(2, std::chrono::microseconds(1));
+    unchecked.propertiesChecked = false;
+    metrics.recordEpoch(unchecked);
+
+    std::ostringstream out;
+    metrics.registry().writePrometheus(out);
+    EXPECT_NE(out.str().find("\nref_ef_rows_scanned 7\n"),
+              std::string::npos)
+        << out.str();
+}
+
 TEST(ServiceMetrics, PrintsDeterministicKeyValueLines)
 {
     ServiceMetrics metrics;
