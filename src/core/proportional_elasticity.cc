@@ -50,7 +50,7 @@ ProportionalElasticityMechanism::allocate(
     // Each denominator is accumulated exactly and then correctly
     // rounded, so it depends only on the set of agents, never on
     // their order — the property that lets the online service
-    // maintain these sums incrementally (svc/agent_registry.hh) and
+    // maintain these sums incrementally (pool/pool_tree.hh) and
     // still match this from-scratch path bit for bit.
     Allocation allocation(agents.size(), capacity.count());
     for (std::size_t r = 0; r < capacity.count(); ++r) {

@@ -176,7 +176,7 @@ PoolTree::entryOf(const std::string &name)
 }
 
 const PooledAgent &
-PoolTree::entryOf(const std::string &name) const
+PoolTree::agent(const std::string &name) const
 {
     const auto &shard = shardFor(name);
     const auto found = shard.agents.find(name);
@@ -190,7 +190,7 @@ PoolTree::effectiveFor(const linalg::Vector &rescaled,
                        std::uint32_t pool) const
 {
     // gain == 1.0 multiplies exactly, so unweighted trees keep
-    // effective bit-identical to the flat registry's rescaled values.
+    // effective bit-identical to the rescaled values.
     const double gain = nodes_[pool].gain;
     linalg::Vector effective(rescaled.size());
     for (std::size_t r = 0; r < rescaled.size(); ++r)
@@ -247,7 +247,9 @@ PoolTree::admit(const std::string &name,
         node = nodes_[node].parent;
     }
     ++nodes_[pool].directAgents;
-    shard.agents.emplace(name, std::move(agent));
+    const auto placed = shard.agents.emplace(name, std::move(agent));
+    order_.emplace_back(placed.first->second.seq,
+                        &placed.first->second);
     ++agentCount_;
     ++churnEvents_;
 }
@@ -323,6 +325,18 @@ PoolTree::depart(const std::string &name)
         node = nodes_[node].parent;
     }
     --nodes_[agent.pool].directAgents;
+    const auto slot = std::lower_bound(
+        order_.begin(), order_.end(), agent.seq,
+        [](const auto &entry, std::uint64_t seq) {
+            return entry.first < seq;
+        });
+    slot->second = nullptr;
+    if (++holes_ > agentCount_) {
+        std::erase_if(order_, [](const auto &entry) {
+            return entry.second == nullptr;
+        });
+        holes_ = 0;
+    }
     shard.agents.erase(name);
     --agentCount_;
     ++churnEvents_;
@@ -338,7 +352,7 @@ PoolTree::contains(const std::string &name) const
 const std::string &
 PoolTree::poolOf(const std::string &name) const
 {
-    return nodes_[entryOf(name).pool].path;
+    return nodes_[agent(name).pool].path;
 }
 
 double
@@ -350,13 +364,13 @@ PoolTree::denominator(std::size_t r) const
 linalg::Vector
 PoolTree::sharesOf(const std::string &name) const
 {
-    const PooledAgent &agent = entryOf(name);
+    const PooledAgent &entry = agent(name);
     linalg::Vector shares(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r) {
         const double d = denominator(r);
         REF_ASSERT(d > 0,
                    "effective claims sum to zero for resource " << r);
-        shares[r] = agent.effective[r] / d * capacity_.capacity(r);
+        shares[r] = entry.effective[r] / d * capacity_.capacity(r);
     }
     return shares;
 }
@@ -400,85 +414,63 @@ PoolTree::denseOrder() const
 {
     std::vector<const PooledAgent *> order;
     order.reserve(agentCount_);
-    for (const auto &shard : shards_)
-        for (const auto &entry : shard.agents)
-            order.push_back(&entry.second);
-    std::sort(order.begin(), order.end(),
-              [](const PooledAgent *a, const PooledAgent *b) {
-                  return a->seq < b->seq;
-              });
+    for (const auto &entry : order_)
+        if (entry.second != nullptr)
+            order.push_back(entry.second);
     return order;
 }
 
 core::Allocation
-PoolTree::allocateWith(const std::vector<const PooledAgent *> &order,
-                       const std::vector<double> &denominators,
-                       std::vector<std::string> *names) const
+PoolTree::allocateDense(std::vector<std::string> *names,
+                        core::AgentList *agents) const
 {
-    core::Allocation allocation(order.size(), capacity_.count());
-    for (std::size_t r = 0; r < capacity_.count(); ++r) {
-        const double d = denominators[r];
-        REF_ASSERT(d > 0,
-                   "effective claims sum to zero for resource " << r);
-        // Same expression as the flat registry, applied to the same
-        // doubles: exact denominators make the paths bit-identical.
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            allocation.at(i, r) =
-                order[i]->effective[r] / d * capacity_.capacity(r);
-        }
-    }
-    if (names != nullptr) {
-        names->clear();
-        names->reserve(order.size());
-        for (const PooledAgent *agent : order)
-            names->push_back(agent->name);
-    }
-    return allocation;
-}
-
-core::Allocation
-PoolTree::allocateDense(std::vector<std::string> *names) const
-{
-    REF_REQUIRE(!empty(), "no agents to allocate to");
     std::vector<double> denominators(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r)
         denominators[r] = denominator(r);
-    return allocateWith(denseOrder(), denominators, names);
+    return allocateWith(denominators, names, agents);
 }
 
 core::Allocation
-PoolTree::allocateFromScratchDense(std::vector<std::string> *names) const
+PoolTree::allocateWith(const std::vector<double> &denominators,
+                       std::vector<std::string> *names,
+                       core::AgentList *agents) const
 {
     REF_REQUIRE(!empty(), "no agents to allocate to");
-    // Flat rebuild in arbitrary (shard) order: ExactSum's
-    // order-independence makes this round identically to the
-    // incrementally maintained root sums.
-    std::vector<ExactSum> sums(capacity_.count());
-    for (const auto &shard : shards_)
-        for (const auto &entry : shard.agents)
-            for (std::size_t r = 0; r < capacity_.count(); ++r)
-                sums[r].add(entry.second.effective[r]);
-    std::vector<double> denominators(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r)
-        denominators[r] = sums[r].round();
-    return allocateWith(denseOrder(), denominators, names);
-}
-
-core::AgentList
-PoolTree::agentList() const
-{
-    core::AgentList list;
-    list.reserve(agentCount_);
-    for (const PooledAgent *agent : denseOrder()) {
-        list.emplace_back(agent->name,
-                          core::CobbDouglasUtility(agent->elasticities));
+        REF_ASSERT(denominators[r] > 0,
+                   "effective claims sum to zero for resource " << r);
+    const std::vector<const PooledAgent *> order = denseOrder();
+    core::Allocation allocation(order.size(), capacity_.count());
+    if (names != nullptr) {
+        names->clear();
+        names->reserve(order.size());
     }
-    return list;
+    if (agents != nullptr) {
+        agents->clear();
+        agents->reserve(order.size());
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        const PooledAgent &entry = *order[i];
+        // The closed form's own expression, applied to the same
+        // doubles: with unit gains the exact denominators make this
+        // bit-identical to ProportionalElasticityMechanism.
+        for (std::size_t r = 0; r < capacity_.count(); ++r)
+            allocation.at(i, r) = entry.effective[r] / denominators[r] *
+                                  capacity_.capacity(r);
+        if (names != nullptr)
+            names->push_back(entry.name);
+        if (agents != nullptr)
+            agents->emplace_back(
+                entry.name,
+                core::CobbDouglasUtility(entry.elasticities));
+    }
+    return allocation;
 }
 
 bool
 PoolTree::selfCheck() const
 {
+    std::vector<double> scratchDenominators(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r) {
         const double incremental = nodes_[0].subtree[r].round();
 
@@ -486,20 +478,24 @@ PoolTree::selfCheck() const
         for (const auto &shard : shards_)
             merged.merge(shard.sums[r]);
 
+        // Flat rebuild in arbitrary (shard) order: ExactSum's
+        // order-independence makes this round identically to the
+        // incrementally maintained root sums.
         ExactSum scratch;
         for (const auto &shard : shards_)
             for (const auto &entry : shard.agents)
                 scratch.add(entry.second.effective[r]);
+        scratchDenominators[r] = scratch.round();
 
         if (incremental != merged.round() ||
-            incremental != scratch.round())
+            incremental != scratchDenominators[r])
             return false;
     }
     if (empty())
         return true;
 
     const core::Allocation fast = allocateDense();
-    const core::Allocation slow = allocateFromScratchDense();
+    const core::Allocation slow = allocateWith(scratchDenominators);
     if (fast.agents() != slow.agents() ||
         fast.resources() != slow.resources())
         return false;

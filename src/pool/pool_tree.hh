@@ -2,9 +2,11 @@
  * @file
  * Hierarchical fair-share pool tree with sharded leaf registries.
  *
- * The flat AgentRegistry keeps one global per-resource denominator,
- * so every epoch's cost is bounded by the live population. The pool
- * tree applies REF recursively instead: pools form a weighted tree
+ * The tree is the service's only agent store. A flat service is a
+ * root-only tree: every agent sits in "/", every gain is 1.0, and
+ * the allocation is REF's closed form (Eq. 13) over the whole
+ * population. A pooled service applies REF recursively: pools form a
+ * weighted tree
  * rooted at "/", every agent lives in exactly one pool, and an
  * agent's claim on resource r is its re-scaled elasticity (Eq. 12)
  * multiplied by the product of its ancestor pools' weights (the
@@ -94,7 +96,7 @@ struct PoolView
  * hash-sharded leaf agent storage.
  *
  * Not thread-safe on its own; the AllocationService facade
- * serializes mutation, exactly as it does for the flat registry.
+ * serializes mutation.
  */
 class PoolTree
 {
@@ -102,6 +104,13 @@ class PoolTree
     /** @pre shards >= 1. */
     explicit PoolTree(core::SystemCapacity capacity,
                       std::size_t shards = 8);
+
+    // The admission-order index points into the shard maps, whose
+    // nodes survive a move but not a copy.
+    PoolTree(const PoolTree &) = delete;
+    PoolTree &operator=(const PoolTree &) = delete;
+    PoolTree(PoolTree &&) = default;
+    PoolTree &operator=(PoolTree &&) = default;
 
     /**
      * Create a pool at @p path ("a" or "a/b"; the parent must already
@@ -124,9 +133,12 @@ class PoolTree
     std::size_t maxDepth() const { return maxDepth_; }
 
     /**
-     * Admit an agent into @p poolPath (default: the root). Same
-     * validation and error messages as the flat registry, plus an
-     * unknown-pool error.
+     * Admit an agent into @p poolPath (default: the root). Throws
+     * FatalError when the name is empty, contains whitespace or is
+     * already registered, when the elasticity vector has the wrong
+     * width or any non-positive or non-finite entry (which would
+     * otherwise poison every agent's share with NaN), or when the
+     * pool does not exist.
      */
     void admit(const std::string &name,
                const linalg::Vector &elasticities,
@@ -146,6 +158,9 @@ class PoolTree
     std::size_t size() const { return agentCount_; }
     bool empty() const { return agentCount_ == 0; }
     bool contains(const std::string &name) const;
+
+    /** Live agent @p name. Throws when unknown. */
+    const PooledAgent &agent(const std::string &name) const;
 
     /** Owning pool path of @p name. Throws when unknown. */
     const std::string &poolOf(const std::string &name) const;
@@ -182,40 +197,26 @@ class PoolTree
     /** All pools in creation order (root first). */
     std::vector<PoolView> pools() const;
 
-    /** Visit every live agent (shard order — unspecified). */
-    template <typename Fn>
-    void forEachAgent(Fn &&fn) const
-    {
-        for (const auto &shard : shards_)
-            for (const auto &entry : shard.agents)
-                fn(entry.second);
-    }
+    /** Live agents sorted by admission sequence. O(N). */
+    std::vector<const PooledAgent *> denseOrder() const;
 
     /**
      * Dense N x R allocation over all live agents in admission
-     * order, with the matching names. O(N log N) — verification and
-     * small-population use only. @pre !empty().
+     * order, with the matching names and, when asked, the matching
+     * core::AgentList — all from one O(N) pass. Flat epochs,
+     * property checks and small-population use only. @pre !empty().
      */
     core::Allocation allocateDense(
-        std::vector<std::string> *names = nullptr) const;
-
-    /**
-     * Verification path: rebuild flat per-resource ExactSums from
-     * scratch over all live agents and allocate with them.
-     * Bit-identical to allocateDense() by construction. @pre !empty().
-     */
-    core::Allocation allocateFromScratchDense(
-        std::vector<std::string> *names = nullptr) const;
-
-    /** The live agents as a core::AgentList (admission order). */
-    core::AgentList agentList() const;
+        std::vector<std::string> *names = nullptr,
+        core::AgentList *agents = nullptr) const;
 
     /**
      * The tree-wide bit-identity invariant, checked three ways per
      * resource: the incremental root subtree sum, the merge of the
      * per-shard sums, and a from-scratch flat rebuild must all round
-     * to the same double, and the dense incremental allocation must
-     * equal the from-scratch one bitwise. O(N) — verification only.
+     * to the same double, and the dense allocation from the
+     * incremental sums must equal the one from the rebuilt sums
+     * bitwise. O(N) — verification only.
      */
     bool selfCheck() const;
 
@@ -261,23 +262,29 @@ class PoolTree
     Shard &shardFor(const std::string &name);
     const Shard &shardFor(const std::string &name) const;
     PooledAgent &entryOf(const std::string &name);
-    const PooledAgent &entryOf(const std::string &name) const;
     /** Add (+1) or subtract (-1) @p effective along root..pool. */
     void applyAlongPath(std::uint32_t pool,
                         const linalg::Vector &effective, int direction);
     linalg::Vector effectiveFor(const linalg::Vector &rescaled,
                                 std::uint32_t pool) const;
-    /** Live agents sorted by admission sequence. */
-    std::vector<const PooledAgent *> denseOrder() const;
+    /** allocateDense() over the given per-resource denominators. */
     core::Allocation allocateWith(
-        const std::vector<const PooledAgent *> &order,
         const std::vector<double> &denominators,
-        std::vector<std::string> *names) const;
+        std::vector<std::string> *names = nullptr,
+        core::AgentList *agents = nullptr) const;
 
     core::SystemCapacity capacity_;
     std::vector<Node> nodes_;  //!< Creation order; nodes_[0] is "/".
     std::unordered_map<std::string, std::uint32_t> nodeIndex_;
     std::vector<Shard> shards_;
+    /**
+     * Every agent's (seq, entry) in ascending seq, so the dense walk
+     * reads one contiguous array instead of chasing map nodes. A
+     * departed agent leaves a null entry until the holes outnumber
+     * the live agents, when they are compacted away.
+     */
+    std::vector<std::pair<std::uint64_t, const PooledAgent *>> order_;
+    std::size_t holes_ = 0;
     std::size_t agentCount_ = 0;
     std::size_t maxDepth_ = 0;
     std::uint64_t nextSeq_ = 0;

@@ -26,13 +26,8 @@ ServiceSnapshot::indexOf(const std::string &name) const
 
 AllocationService::AllocationService(ServiceConfig config)
     : config_(std::move(config)),
-      registry_(config_.capacity),
-      tree_(config_.pooled
-                ? std::make_unique<pool::PoolTree>(config_.capacity,
-                                                   config_.poolShards)
-                : nullptr),
-      driver_(tree_ ? EpochDriver(*tree_, config_.epoch)
-                    : EpochDriver(registry_, config_.epoch)),
+      tree_(config_.capacity, config_.poolShards),
+      driver_(tree_, config_.epoch, config_.pooled),
       snapshot_(std::make_shared<const ServiceSnapshot>())
 {
     if (config_.pooled) {
@@ -60,10 +55,7 @@ AllocationService::admit(const std::string &name,
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
     const std::uint64_t epoch = driver_.epoch();
-    if (tree_)
-        tree_->admit(name, elasticities, pool::kRootPath, epoch);
-    else
-        registry_.admit(name, elasticities, epoch);
+    tree_.admit(name, elasticities, pool::kRootPath, epoch);
     metrics_.recordAdmit();
     JournalRecord record;
     record.type = JournalRecord::Type::Admit;
@@ -77,10 +69,7 @@ void
 AllocationService::depart(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    if (tree_)
-        tree_->depart(name);
-    else
-        registry_.depart(name);
+    tree_.depart(name);
     cohorts_.erase(name);
     metrics_.recordDepart();
     JournalRecord record;
@@ -94,10 +83,7 @@ AllocationService::update(const std::string &name,
                           const linalg::Vector &elasticities)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    if (tree_)
-        tree_->update(name, elasticities);
-    else
-        registry_.update(name, elasticities);
+    tree_.update(name, elasticities);
     metrics_.recordUpdate();
     JournalRecord record;
     record.type = JournalRecord::Type::Update;
@@ -126,9 +112,9 @@ AllocationService::tick()
 namespace {
 
 void
-requirePooled(const std::unique_ptr<pool::PoolTree> &tree)
+requirePooled(const ServiceConfig &config)
 {
-    REF_REQUIRE(tree != nullptr,
+    REF_REQUIRE(config.pooled,
                 "POOL commands require a pooled service (--pooled)");
 }
 
@@ -139,10 +125,10 @@ AllocationService::setCohort(const std::string &name,
                              const std::string &label)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    REF_REQUIRE(tree_ == nullptr,
+    REF_REQUIRE(!config_.pooled,
                 "COHORT requires a flat service (pooled telemetry "
                 "is already labelled per pool)");
-    REF_REQUIRE(registry_.contains(name),
+    REF_REQUIRE(tree_.contains(name),
                 "agent '" << name << "' is not registered");
     REF_REQUIRE(!label.empty(), "cohort label must not be empty");
     for (const char c : label) {
@@ -169,12 +155,12 @@ void
 AllocationService::createPool(const std::string &path, double weight)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    const bool existed = tree_->hasPool(path);
+    requirePooled(config_);
+    const bool existed = tree_.hasPool(path);
     const std::uint64_t epoch = driver_.epoch();
     // Throws on a weight mismatch even when the pool exists, so the
     // idempotent-create check below only passes for true no-ops.
-    tree_->createPool(path, weight, epoch);
+    tree_.createPool(path, weight, epoch);
     if (existed)
         return;
     metrics_.recordPoolCreate();
@@ -191,8 +177,8 @@ AllocationService::assignPool(const std::string &name,
                               const std::string &path)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    tree_->assign(name, path);
+    requirePooled(config_);
+    tree_.assign(name, path);
     metrics_.recordPoolAssign();
     JournalRecord record;
     record.type = JournalRecord::Type::PoolAssign;
@@ -205,40 +191,40 @@ linalg::Vector
 AllocationService::agentShares(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    return tree_->sharesOf(name);
+    requirePooled(config_);
+    return tree_.sharesOf(name);
 }
 
 std::string
 AllocationService::agentPool(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    return tree_->poolOf(name);
+    requirePooled(config_);
+    return tree_.poolOf(name);
 }
 
 std::vector<pool::PoolView>
 AllocationService::pools() const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    return tree_->pools();
+    requirePooled(config_);
+    return tree_.pools();
 }
 
 linalg::Vector
 AllocationService::poolShareFractions(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    return tree_->poolShareFractions(path);
+    requirePooled(config_);
+    return tree_.poolShareFractions(path);
 }
 
 std::size_t
 AllocationService::poolCount() const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    requirePooled(tree_);
-    return tree_->poolCount();
+    requirePooled(config_);
+    return tree_.poolCount();
 }
 
 namespace {
@@ -300,7 +286,7 @@ void
 AllocationService::recordPooledFairnessLocked(
     const EpochResult &result)
 {
-    const std::vector<pool::PoolView> views = tree_->pools();
+    const std::vector<pool::PoolView> views = tree_.pools();
     const std::uint64_t population = result.liveAgents;
     const auto latencyNs = static_cast<std::uint64_t>(
         std::max<std::chrono::nanoseconds::rep>(
@@ -324,7 +310,7 @@ AllocationService::recordPooledFairnessLocked(
     double totalDrift = 0;
     for (std::size_t p = 0; p < views.size(); ++p) {
         const linalg::Vector fractions =
-            tree_->poolShareFractions(views[p].path);
+            tree_.poolShareFractions(views[p].path);
         const linalg::Vector &last = lastPoolShares_[p];
         double drift = 0;
         for (std::size_t r = 0; r < fractions.size(); ++r) {
@@ -372,7 +358,7 @@ void
 AllocationService::recordFairnessLocked(
     const ServiceSnapshot &previous, const EpochResult &result)
 {
-    if (tree_) {
+    if (config_.pooled) {
         recordPooledFairnessLocked(result);
         return;
     }
@@ -430,12 +416,8 @@ AllocationService::appendCohortFairnessLocked(
         const auto labelled = cohorts_.find(result.agentNames[i]);
         if (labelled == cohorts_.end())
             continue;
-        const std::size_t row =
-            registry_.indexOf(result.agentNames[i]);
-        if (row >= registry_.agents().size())
-            continue;  // Departed between tick and label walk.
         members[labelled->second].push_back(i);
-        rescaled[i] = &registry_.agents()[row].rescaled;
+        rescaled[i] = &tree_.agent(result.agentNames[i]).rescaled;
     }
     if (members.empty())
         return;
@@ -526,7 +508,7 @@ std::size_t
 AllocationService::liveAgents() const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    return tree_ ? tree_->size() : registry_.size();
+    return tree_.size();
 }
 
 void
@@ -630,14 +612,8 @@ AllocationService::captureReplicationSnapshot(
 void
 AllocationService::resetRuntimeLocked()
 {
-    registry_ = AgentRegistry(config_.capacity);
-    if (tree_)
-        tree_ = std::make_unique<pool::PoolTree>(
-            config_.capacity, config_.poolShards);
-    // The driver holds raw pointers into the registry/tree, so it
-    // must be rebuilt right after they are.
-    driver_ = tree_ ? EpochDriver(*tree_, config_.epoch)
-                    : EpochDriver(registry_, config_.epoch);
+    tree_ = pool::PoolTree(config_.capacity, config_.poolShards);
+    driver_ = EpochDriver(tree_, config_.epoch, config_.pooled);
     lastPoolShares_.clear();
     cohorts_.clear();
     publish(std::make_shared<const ServiceSnapshot>());
@@ -670,44 +646,23 @@ AllocationService::captureStateLocked() const
 {
     ServiceState state;
     state.capacities = config_.capacity.capacities();
-    if (tree_) {
-        state.pooled = true;
-        for (const pool::PoolView &view : tree_->pools())
+    state.pooled = config_.pooled;
+    if (config_.pooled)
+        for (const pool::PoolView &view : tree_.pools())
             state.pools.push_back(PersistedPool{
                 view.path, view.weight, view.createdEpoch});
-        // Persist agents in admission (seq) order so re-admission
-        // reproduces the dense-allocation order bit for bit.
-        struct Ordered
-        {
-            std::uint64_t seq;
-            PersistedAgent agent;
-        };
-        std::vector<Ordered> ordered;
-        ordered.reserve(tree_->size());
-        tree_->forEachAgent([&](const pool::PooledAgent &agent) {
-            ordered.push_back(Ordered{
-                agent.seq,
-                PersistedAgent{agent.name, agent.elasticities,
-                               agent.admittedEpoch,
-                               tree_->poolPath(agent.pool)}});
-        });
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const Ordered &a, const Ordered &b) {
-                      return a.seq < b.seq;
-                  });
-        state.agents.reserve(ordered.size());
-        for (Ordered &entry : ordered)
-            state.agents.push_back(std::move(entry.agent));
-        state.churnEvents = tree_->churnEvents();
-    } else {
-        state.agents.reserve(registry_.size());
-        for (const auto &agent : registry_.agents()) {
-            state.agents.push_back(PersistedAgent{
-                agent.name, agent.elasticities,
-                agent.admittedEpoch, std::string()});
-        }
-        state.churnEvents = registry_.churnEvents();
-    }
+    // Persist agents in admission (seq) order so re-admission
+    // reproduces the dense-allocation order bit for bit. Flat
+    // services persist no pool paths.
+    const std::vector<const pool::PooledAgent *> order =
+        tree_.denseOrder();
+    state.agents.reserve(order.size());
+    for (const pool::PooledAgent *agent : order)
+        state.agents.push_back(PersistedAgent{
+            agent->name, agent->elasticities, agent->admittedEpoch,
+            config_.pooled ? tree_.poolPath(agent->pool)
+                           : std::string()});
+    state.churnEvents = tree_.churnEvents();
     state.epoch = driver_.epoch();
     state.lastEnforcedEpoch = driver_.lastEnforcedEpoch();
     state.enforcedNames = driver_.enforcedNames();
@@ -730,36 +685,26 @@ AllocationService::applyRecordLocked(const JournalRecord &record)
     case JournalRecord::Type::Admit:
         // Pooled admits land at the root; the PoolAssign record
         // that may follow replays the move, exactly as it happened.
-        if (tree_)
-            tree_->admit(record.name, record.elasticities,
-                         pool::kRootPath, record.epoch);
-        else
-            registry_.admit(record.name, record.elasticities,
-                            record.epoch);
+        tree_.admit(record.name, record.elasticities, pool::kRootPath,
+                    record.epoch);
         break;
     case JournalRecord::Type::Update:
-        if (tree_)
-            tree_->update(record.name, record.elasticities);
-        else
-            registry_.update(record.name, record.elasticities);
+        tree_.update(record.name, record.elasticities);
         break;
     case JournalRecord::Type::Depart:
-        if (tree_)
-            tree_->depart(record.name);
-        else
-            registry_.depart(record.name);
+        tree_.depart(record.name);
         break;
     case JournalRecord::Type::PoolCreate:
-        REF_REQUIRE(tree_ != nullptr,
+        REF_REQUIRE(config_.pooled,
                     "wal holds pool records but the service is not "
                     "pooled; restart with pooled mode on");
-        tree_->createPool(record.name, record.weight, record.epoch);
+        tree_.createPool(record.name, record.weight, record.epoch);
         break;
     case JournalRecord::Type::PoolAssign:
-        REF_REQUIRE(tree_ != nullptr,
+        REF_REQUIRE(config_.pooled,
                     "wal holds pool records but the service is not "
                     "pooled; restart with pooled mode on");
-        tree_->assign(record.name, record.pool);
+        tree_.assign(record.name, record.pool);
         break;
     case JournalRecord::Type::Tick: {
         const EpochResult result = driver_.tick();
@@ -793,25 +738,17 @@ AllocationService::restoreStateLocked(const ServiceState &state)
                     << (state.pooled ? "pooled" : "flat")
                     << " service; restart with the matching "
                        "mode");
-    if (tree_) {
-        for (const PersistedPool &pool : state.pools) {
-            if (pool.path == pool::kRootPath)
-                continue;  // The ctor already made the root.
-            tree_->createPool(pool.path, pool.weight,
-                              pool.createdEpoch);
-        }
-        for (const auto &agent : state.agents)
-            tree_->admit(agent.name, agent.elasticities,
-                         agent.pool.empty() ? pool::kRootPath
-                                            : agent.pool,
-                         agent.admittedEpoch);
-        tree_->restoreChurnEvents(state.churnEvents);
-    } else {
-        for (const auto &agent : state.agents)
-            registry_.admit(agent.name, agent.elasticities,
-                            agent.admittedEpoch);
-        registry_.restoreChurnEvents(state.churnEvents);
+    // Flat states carry no pools and empty agent pool paths.
+    for (const PersistedPool &pool : state.pools) {
+        if (pool.path == pool::kRootPath)
+            continue;  // The ctor already made the root.
+        tree_.createPool(pool.path, pool.weight, pool.createdEpoch);
     }
+    for (const auto &agent : state.agents)
+        tree_.admit(agent.name, agent.elasticities,
+                    agent.pool.empty() ? pool::kRootPath : agent.pool,
+                    agent.admittedEpoch);
+    tree_.restoreChurnEvents(state.churnEvents);
     driver_.restore(state.epoch, state.lastEnforcedEpoch,
                     state.enforced, state.enforcedNames);
 

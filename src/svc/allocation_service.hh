@@ -13,7 +13,7 @@
  * accepted mutation and tick is appended to a CRC32-framed
  * write-ahead log after it is applied, and construction first
  * recovers whatever a previous process left behind: snapshot
- * restore, wal replay through the exact same registry/driver code
+ * restore, wal replay through the exact same tree/driver code
  * paths, tail truncation on torn frames, then a fresh compaction so
  * the new process starts on its own generation. Journal IO errors
  * degrade gracefully — the service keeps serving, skipped records
@@ -34,7 +34,6 @@
 
 #include "obs/fairness_series.hh"
 #include "pool/pool_tree.hh"
-#include "svc/agent_registry.hh"
 #include "svc/enforcement_bridge.hh"
 #include "svc/epoch_driver.hh"
 #include "svc/journal.hh"
@@ -59,13 +58,15 @@ struct ServiceConfig
      *  memory-only. */
     JournalConfig journal;
     /**
-     * Run the hierarchical pool tree instead of the flat registry.
-     * Pooled mode keeps epochs O(changed paths): ticks never build a
-     * dense allocation, QUERY answers from the live tree, and
-     * enforcement must be off (incompatible with lazy shares).
+     * Both modes keep agents in one pool::PoolTree; a flat service's
+     * tree holds only the root. Pooled mode accepts POOL commands
+     * (COHORT is flat-only), keeps epochs O(changed paths) because
+     * ticks never publish a dense allocation, answers QUERY from the
+     * live tree instead of the epoch snapshot, and must run with
+     * enforcement off (incompatible with lazy shares).
      */
     bool pooled = false;
-    /** Leaf-registry hash shards for the pooled tree. */
+    /** Leaf-registry hash shards for the pool tree. */
     std::size_t poolShards = 8;
 };
 
@@ -94,7 +95,7 @@ enum class MetricsFormat
     Json,
 };
 
-/** Long-lived allocation service: registry + epochs + metrics. */
+/** Long-lived allocation service: pool tree + epochs + metrics. */
 class AllocationService
 {
   public:
@@ -137,7 +138,7 @@ class AllocationService
     std::size_t poolCount() const;
     ///@}
 
-    bool pooled() const { return tree_ != nullptr; }
+    bool pooled() const { return config_.pooled; }
 
     /** @name Fairness cohorts (flat mode only).
      *
@@ -223,7 +224,7 @@ class AllocationService
 
     /**
      * Replace the entire service state with @p state (snapshot
-     * resync): reset the registry/tree/driver, restore, and — when
+     * resync): reset the tree/driver, restore, and — when
      * journaling — compact so the adopted state is durable under a
      * fresh local generation.
      */
@@ -261,9 +262,9 @@ class AllocationService
     void publishEpochLocked(const EpochResult &result);
     /** Recover snapshot + wal from the journal directory. */
     void recoverLocked();
-    /** Restore @p state into registry/tree/driver + publish. */
+    /** Restore @p state into tree/driver + publish. */
     void restoreStateLocked(const ServiceState &state);
-    /** Drop all live state: fresh registry/tree/driver/snapshot. */
+    /** Drop all live state: fresh tree/driver/snapshot. */
     void resetRuntimeLocked();
     /** CRC32 of the encoded state, generation zeroed. */
     std::uint32_t stateHashLocked() const;
@@ -293,11 +294,9 @@ class AllocationService
 
     ServiceConfig config_;
     mutable std::mutex writeMutex_;  //!< Serializes churn and ticks.
-    AgentRegistry registry_;
-    /** Pooled mode only; flat mode leaves this null and the
-     *  registry carries the population. */
-    std::unique_ptr<pool::PoolTree> tree_;
-    EpochDriver driver_;
+    /** Every live agent; root-only in flat mode. */
+    pool::PoolTree tree_;
+    EpochDriver driver_;  //!< Points at tree_.
     mutable ServiceMetrics metrics_;
     obs::FairnessSeries series_;
     /** Last epoch's per-pool share fractions, indexed by pool

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/proportional_elasticity.hh"
 #include "util/logging.hh"
 
 namespace ref::svc {
@@ -50,121 +51,100 @@ maxRelativeChange(const core::Allocation &current,
 
 } // namespace
 
-EpochDriver::EpochDriver(AgentRegistry &registry, EpochConfig config)
-    : registry_(&registry), config_(config)
+EpochDriver::EpochDriver(pool::PoolTree &tree, EpochConfig config,
+                         bool pooled)
+    : tree_(&tree), config_(config), pooled_(pooled)
 {
     REF_REQUIRE(config_.hysteresis >= 0 &&
                     std::isfinite(config_.hysteresis),
                 "hysteresis must be a finite non-negative fraction, "
                 "got " << config_.hysteresis);
-}
-
-EpochDriver::EpochDriver(pool::PoolTree &tree, EpochConfig config)
-    : tree_(&tree), config_(config)
-{
-    REF_REQUIRE(config_.hysteresis >= 0 &&
-                    std::isfinite(config_.hysteresis),
-                "hysteresis must be a finite non-negative fraction, "
-                "got " << config_.hysteresis);
-}
-
-EpochResult
-EpochDriver::pooledTick()
-{
-    const auto start = std::chrono::steady_clock::now();
-
-    EpochResult result;
-    result.epoch = ++epoch_;
-    result.pooled = true;
-    result.liveAgents = tree_->size();
-    result.pools = tree_->poolCount();
-
-    if (config_.verifyIncremental)
-        result.incrementalMatchesScratch = tree_->selfCheck();
-
-    // Property checks need the dense allocation, an O(N) matrix the
-    // pooled tick otherwise never builds, so they only run while the
-    // population is small and the tree is unweighted — exactly the
-    // regime where the flat-REF SI/EF guarantees are the ones being
-    // promised.
-    if (config_.checkProperties && !tree_->empty() &&
-        tree_->size() <= kPooledPropertyCheckCap &&
-        tree_->allUnitGains()) {
-        const core::Allocation allocation = tree_->allocateDense();
-        const core::AgentList agents = tree_->agentList();
-        result.sharingIncentives = core::checkSharingIncentives(
-            agents, tree_->capacity(), allocation, config_.tolerance);
-        result.envyFreeness = core::checkEnvyFreeness(
-            agents, allocation, config_.tolerance, &result.envyWork);
-        result.propertiesChecked = true;
-    }
-
-    // No dense allocation, no enforcement plan: pooled epochs always
-    // "hold" and enforcement stays at pool granularity (out of scope
-    // for the dense bridge).
-    result.latency = std::chrono::steady_clock::now() - start;
-    return result;
 }
 
 EpochResult
 EpochDriver::tick()
 {
-    if (tree_ != nullptr)
-        return pooledTick();
     const auto start = std::chrono::steady_clock::now();
 
     EpochResult result;
     result.epoch = ++epoch_;
-    result.agentNames.reserve(registry_->size());
-    for (const auto &agent : registry_->agents())
-        result.agentNames.push_back(agent.name);
-    result.liveAgents = result.agentNames.size();
+    result.pooled = pooled_;
+    result.liveAgents = tree_->size();
+    if (pooled_)
+        result.pools = tree_->poolCount();
 
-    if (registry_->empty()) {
+    if (config_.verifyIncremental)
+        result.incrementalMatchesScratch = tree_->selfCheck();
+
+    // The dense stage: one admission-order pass yields the
+    // allocation, its row names and the agent list. Flat epochs
+    // always need it (they publish it); pooled epochs build it only
+    // for the property checks, and only while the population is
+    // small and the tree is unweighted — exactly the regime where
+    // the flat-REF SI/EF guarantees are the ones being promised.
+    const bool checkPooled = config_.checkProperties &&
+                             tree_->size() <= kPooledPropertyCheckCap &&
+                             tree_->allUnitGains();
+    if (!tree_->empty() && (!pooled_ || checkPooled)) {
+        core::AgentList agents;
+        const bool needAgents =
+            config_.checkProperties || config_.verifyIncremental;
+        core::Allocation allocation = tree_->allocateDense(
+            pooled_ ? nullptr : &result.agentNames,
+            needAgents ? &agents : nullptr);
+
+        if (config_.verifyIncremental && !pooled_) {
+            result.incrementalMatchesScratch =
+                result.incrementalMatchesScratch &&
+                bitIdentical(allocation,
+                             core::ProportionalElasticityMechanism()
+                                 .allocate(agents, tree_->capacity()));
+        }
+
+        if (config_.checkProperties) {
+            result.sharingIncentives = core::checkSharingIncentives(
+                agents, tree_->capacity(), allocation,
+                config_.tolerance);
+            result.envyFreeness = core::checkEnvyFreeness(
+                agents, allocation, config_.tolerance,
+                &result.envyWork);
+            result.propertiesChecked = true;
+        }
+
+        if (!pooled_)
+            result.allocation = std::move(allocation);
+    }
+
+    // Pooled epochs publish no dense allocation and no enforcement
+    // plan: they always "hold" and enforcement stays at pool
+    // granularity (out of scope for the dense bridge).
+    if (!pooled_)
+        applyHysteresis(result);
+
+    result.latency = std::chrono::steady_clock::now() - start;
+    return result;
+}
+
+void
+EpochDriver::applyHysteresis(EpochResult &result)
+{
+    if (result.agentNames.empty()) {
         // Idle system: publish the empty allocation and drop any
         // stale enforcement.
         result.enforcementChanged = !enforcedNames_.empty();
-        if (result.enforcementChanged)
-            lastEnforcedEpoch_ = epoch_;
-        enforced_ = core::Allocation();
-        enforcedNames_.clear();
-        result.latency = std::chrono::steady_clock::now() - start;
-        return result;
+    } else {
+        const bool sameAgents = result.agentNames == enforcedNames_;
+        result.maxRelativeChange =
+            sameAgents ? maxRelativeChange(result.allocation, enforced_)
+                       : std::numeric_limits<double>::infinity();
+        result.enforcementChanged =
+            result.maxRelativeChange > config_.hysteresis;
     }
-
-    result.allocation = registry_->allocate();
-
-    if (config_.verifyIncremental) {
-        result.incrementalMatchesScratch = bitIdentical(
-            result.allocation, registry_->allocateFromScratch());
-    }
-
-    if (config_.checkProperties) {
-        const core::AgentList agents = registry_->agentList();
-        result.sharingIncentives = core::checkSharingIncentives(
-            agents, registry_->capacity(), result.allocation,
-            config_.tolerance);
-        result.envyFreeness = core::checkEnvyFreeness(
-            agents, result.allocation, config_.tolerance,
-            &result.envyWork);
-        result.propertiesChecked = true;
-    }
-
-    const bool sameAgents = result.agentNames == enforcedNames_;
-    result.maxRelativeChange =
-        sameAgents
-            ? maxRelativeChange(result.allocation, enforced_)
-            : std::numeric_limits<double>::infinity();
-    result.enforcementChanged =
-        result.maxRelativeChange > config_.hysteresis;
     if (result.enforcementChanged) {
         enforced_ = result.allocation;
         enforcedNames_ = result.agentNames;
         lastEnforcedEpoch_ = epoch_;
     }
-
-    result.latency = std::chrono::steady_clock::now() - start;
-    return result;
 }
 
 void

@@ -6,10 +6,10 @@
  * (the paper's strategy-proofness-in-the-large argument assumes
  * exactly this dynamic setting). The driver owns the monotonic epoch
  * counter: each tick() computes the current REF allocation from the
- * registry's incremental state, optionally verifies it against a
- * from-scratch recompute, runs the SI/EF property checks, and
- * decides — via a configurable hysteresis threshold — whether the
- * change is large enough to justify re-programming enforcement
+ * pool tree's incremental state, optionally verifies it against a
+ * from-scratch recompute, runs the SI/EF property checks, and — in
+ * flat mode — decides via a configurable hysteresis threshold whether
+ * the change is large enough to justify re-programming enforcement
  * (way partitions and WFQ weights are not free to install).
  */
 
@@ -23,7 +23,6 @@
 
 #include "core/fairness.hh"
 #include "pool/pool_tree.hh"
-#include "svc/agent_registry.hh"
 
 namespace ref::svc {
 
@@ -49,9 +48,10 @@ struct EpochConfig
      */
     double hysteresis = 0.0;
     /**
-     * Verify each epoch's incremental allocation bit-for-bit against
-     * the from-scratch recompute (the soak and property tests run
-     * with this on).
+     * Verify each epoch's incremental state: the tree's three-way
+     * denominator self-check and, in flat mode, the dense allocation
+     * bit-for-bit against ProportionalElasticityMechanism run from
+     * scratch (the soak and property tests run with this on).
      */
     bool verifyIncremental = false;
     /** Run the SI and EF property checks each epoch. */
@@ -64,8 +64,9 @@ struct EpochConfig
 struct EpochResult
 {
     std::uint64_t epoch = 0;
-    /** True for a pool-tree tick: agentNames/allocation stay empty
-     *  (no dense enumeration) and liveAgents/pools carry the scale. */
+    /** True for a pooled tick: agentNames/allocation stay empty
+     *  (nothing dense is published) and liveAgents/pools carry the
+     *  scale. */
     bool pooled = false;
     /** Live population (equals agentNames.size() when not pooled). */
     std::uint64_t liveAgents = 0;
@@ -75,7 +76,7 @@ struct EpochResult
      *  Empty on pooled ticks. */
     std::vector<std::string> agentNames;
     /** The epoch's allocation (empty when no agents are live and on
-     *  pooled ticks, which never build the dense matrix). */
+     *  pooled ticks, which never publish the dense matrix). */
     core::Allocation allocation;
     /** False when hysteresis kept the previous enforcement. */
     bool enforcementChanged = false;
@@ -99,20 +100,17 @@ struct EpochResult
 class EpochDriver
 {
   public:
-    /** @param registry Live-agent state; must outlive the driver. */
-    explicit EpochDriver(AgentRegistry &registry,
-                         EpochConfig config = {});
-
     /**
-     * Pooled mode: drive a pool tree instead of the flat registry.
-     * Ticks never build the dense allocation (shares are computed
-     * lazily per query), so the per-epoch cost is O(pools), not
-     * O(population); verifyIncremental runs the tree's three-way
-     * denominator self-check plus the dense bitwise compare, and the
-     * property checks run only for small unweighted populations (see
-     * kPooledPropertyCheckCap). @param tree must outlive the driver.
+     * @param tree Live-agent state; must outlive the driver.
+     * @param pooled Flat mode (false) publishes the dense allocation
+     *        every tick and applies hysteresis. Pooled mode never
+     *        publishes it (shares are computed lazily per query), so
+     *        the per-epoch cost is O(pools), not O(population); the
+     *        property checks then run only for small unweighted
+     *        populations (see kPooledPropertyCheckCap).
      */
-    explicit EpochDriver(pool::PoolTree &tree, EpochConfig config = {});
+    explicit EpochDriver(pool::PoolTree &tree, EpochConfig config = {},
+                         bool pooled = false);
 
     /** Advance one epoch and reallocate. */
     EpochResult tick();
@@ -149,11 +147,12 @@ class EpochDriver
                  std::vector<std::string> enforced_names);
 
   private:
-    EpochResult pooledTick();
+    /** Flat mode: enforce or hold @p result against enforced_. */
+    void applyHysteresis(EpochResult &result);
 
-    AgentRegistry *registry_ = nullptr;  //!< Null in pooled mode.
-    pool::PoolTree *tree_ = nullptr;     //!< Null in flat mode.
+    pool::PoolTree *tree_;
     EpochConfig config_;
+    bool pooled_;
     std::uint64_t epoch_ = 0;
     std::uint64_t lastEnforcedEpoch_ = 0;
     core::Allocation enforced_;

@@ -5,7 +5,7 @@
  * Every accepted mutation (ADMIT/UPDATE/DEPART) and every epoch tick
  * is appended to a CRC32-framed log (util/record_io.hh) in the
  * journal directory, so a restarted service replays to bit-identical
- * registry and epoch state. Layout:
+ * agent and epoch state. Layout:
  *
  *   <dir>/snapshot.ref   full service state at a record boundary
  *   <dir>/wal.ref        records accepted since that snapshot

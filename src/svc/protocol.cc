@@ -43,8 +43,8 @@ tokenize(const std::string &line)
  * Parse one numeric token. Unparseable text (including trailing
  * junk) and values that are not finite doubles — literal "inf"/"nan"
  * as well as decimals like 1e999 that overflow std::stod — are
- * protocol errors; finite VALUES are still validated by the registry
- * so that zero/negative produce the registry's uniform diagnostics.
+ * protocol errors; finite VALUES are still validated by the pool tree
+ * so that zero/negative produce the tree's uniform diagnostics.
  */
 double
 parseNumber(const std::string &token)
@@ -204,7 +204,7 @@ isMutating(const Command &command)
 /**
  * Tokens -> Command. Throws FatalError with the text protocol's
  * exact diagnostics on arity or numeric-parse errors; semantic
- * validation (registry rules, TICK range, METRICS format) happens in
+ * validation (agent rules, TICK range, METRICS format) happens in
  * executeCommand so text and binary transports reject identically.
  */
 Command

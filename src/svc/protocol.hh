@@ -52,7 +52,7 @@
  * Replies: "OK ..." / "EPOCH ..." / "SHARE ..." data lines, or
  * "ERR <reason>" — invalid input never aborts the session (the
  * offending command is rejected, counted, and the stream continues),
- * matching the registry's validation contract.
+ * matching the pool tree's validation contract.
  */
 
 #ifndef REF_SVC_PROTOCOL_HH

@@ -3,7 +3,7 @@
  * Full-state snapshots for journal compaction.
  *
  * A snapshot captures everything the allocation service needs to
- * resume at a record boundary: the registry (agents with their raw
+ * resume at a record boundary: the live agents (with their raw
  * reported elasticities — the rescaled vectors and exact-sum
  * denominators are recomputed by re-admission, which the ExactSum's
  * order independence makes bit-identical), the epoch clock with its
@@ -38,7 +38,7 @@ namespace ref::svc {
  */
 inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
-/** One registry agent as persisted. */
+/** One live agent as persisted. */
 struct PersistedAgent
 {
     std::string name;

@@ -10,6 +10,9 @@
  * own three-way ExactSum self-check.
  */
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -117,8 +120,161 @@ TEST(PoolTree, AgentErrorPathsMatchFlatSemantics)
     EXPECT_THROW(tree.assign("ghost", "p"), FatalError);
     EXPECT_THROW(tree.assign("a", "ghost"), FatalError);
     EXPECT_THROW(tree.poolOf("ghost"), FatalError);
+    EXPECT_THROW(tree.agent("ghost"), FatalError);
     EXPECT_EQ(tree.poolOf("a"), "p");
     EXPECT_EQ(tree.size(), 1u);
+}
+
+/*
+ * A flat service's store is a root-only tree, which computes REF's
+ * closed form. The cases below were first written against the
+ * separate flat store the service used to keep; they keep its suite
+ * name, AgentRegistry, so their test ids stay stable.
+ */
+
+PoolTree
+exampleTree()
+{
+    return PoolTree(core::SystemCapacity::cacheAndBandwidthExample());
+}
+
+TEST(AgentRegistry, AdmitAllocateMatchesPaperExample)
+{
+    // The paper's two-agent example: 18/4 and 6/8 of 24 GB/s, 12 MB.
+    auto tree = exampleTree();
+    tree.admit("user1", {0.6, 0.4});
+    tree.admit("user2", {0.2, 0.8});
+    const auto allocation = tree.allocateDense();
+    EXPECT_NEAR(allocation.at(0, 0), 18.0, 1e-12);
+    EXPECT_NEAR(allocation.at(0, 1), 4.0, 1e-12);
+    EXPECT_NEAR(allocation.at(1, 0), 6.0, 1e-12);
+    EXPECT_NEAR(allocation.at(1, 1), 8.0, 1e-12);
+}
+
+TEST(AgentRegistry, IncrementalIsBitIdenticalToScratch)
+{
+    auto tree = exampleTree();
+    tree.admit("a", {0.61, 0.39});
+    tree.admit("b", {0.17, 0.83});
+    tree.admit("c", {0.5, 0.5});
+    tree.depart("b");
+    tree.admit("d", {0.9, 0.1});
+    tree.update("c", {0.33, 0.67});
+
+    // The agent list rides the same admission-order walk as the
+    // allocation's rows.
+    std::vector<std::string> names;
+    core::AgentList agents;
+    const auto incremental = tree.allocateDense(&names, &agents);
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "c", "d"}));
+    ASSERT_EQ(agents.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(agents[i].name(), names[i]);
+    // Exact double equality on purpose: the incremental path must
+    // not drift from the from-scratch mechanism.
+    expectBitwiseEqual(
+        incremental, core::ProportionalElasticityMechanism().allocate(
+                         agents, tree.capacity()));
+}
+
+TEST(AgentRegistry, DepartPreservesAdmissionOrder)
+{
+    auto tree = exampleTree();
+    tree.admit("a", {0.6, 0.4});
+    tree.admit("b", {0.2, 0.8});
+    tree.admit("c", {0.5, 0.5});
+    tree.depart("b");
+    ASSERT_EQ(tree.size(), 2u);
+    std::vector<std::string> names;
+    tree.allocateDense(&names);
+    EXPECT_EQ(names, (std::vector<std::string>{"a", "c"}));
+    EXPECT_FALSE(tree.contains("b"));
+}
+
+TEST(AgentRegistry, RejectsDuplicateAndUnknownNames)
+{
+    auto tree = exampleTree();
+    tree.admit("a", {0.6, 0.4});
+    EXPECT_THROW(tree.admit("a", {0.5, 0.5}), FatalError);
+    EXPECT_THROW(tree.depart("ghost"), FatalError);
+    EXPECT_THROW(tree.update("ghost", {0.5, 0.5}), FatalError);
+    EXPECT_THROW(tree.admit("", {0.5, 0.5}), FatalError);
+    EXPECT_THROW(tree.admit("two words", {0.5, 0.5}), FatalError);
+    EXPECT_THROW(tree.admit("tab\tname", {0.5, 0.5}), FatalError);
+    EXPECT_EQ(tree.size(), 1u);
+}
+
+TEST(AgentRegistry, RejectsWrongResourceCount)
+{
+    auto tree = exampleTree();
+    EXPECT_THROW(tree.admit("a", {0.6}), FatalError);
+    EXPECT_THROW(tree.admit("a", {0.6, 0.3, 0.1}), FatalError);
+    tree.admit("a", {0.6, 0.4});
+    EXPECT_THROW(tree.update("a", {0.6}), FatalError);
+    EXPECT_THROW(tree.update("a", {0.6, 0.3, 0.1}), FatalError);
+    ASSERT_TRUE(tree.selfCheck());
+}
+
+// Regression: non-positive or non-finite elasticities used to be able
+// to reach the allocator (inf passed the positivity check) and poison
+// every agent's share with NaN. They must be rejected with a clear
+// error at admission and on update instead.
+TEST(AgentRegistry, RejectsNonPositiveAndNonFiniteElasticities)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto tree = exampleTree();
+    tree.admit("honest", {0.6, 0.4});
+
+    EXPECT_THROW(tree.admit("zero", {0.0, 0.4}), FatalError);
+    EXPECT_THROW(tree.admit("negative", {-0.6, 0.4}), FatalError);
+    EXPECT_THROW(tree.admit("inf", {inf, 0.4}), FatalError);
+    EXPECT_THROW(tree.admit("nan", {nan, 0.4}), FatalError);
+    EXPECT_THROW(tree.update("honest", {0.6, inf}), FatalError);
+    EXPECT_THROW(tree.update("honest", {nan, 0.4}), FatalError);
+
+    // The failed admissions must not have corrupted the denominators.
+    ASSERT_EQ(tree.size(), 1u);
+    ASSERT_TRUE(tree.selfCheck());
+    const auto allocation = tree.allocateDense();
+    for (std::size_t r = 0; r < allocation.resources(); ++r) {
+        EXPECT_TRUE(std::isfinite(allocation.at(0, r)));
+        EXPECT_NEAR(allocation.at(0, r),
+                    tree.capacity().capacity(r), 1e-12);
+    }
+}
+
+TEST(AgentRegistry, UpdateChangesSharesIncrementally)
+{
+    auto tree = exampleTree();
+    tree.admit("a", {0.6, 0.4});
+    tree.admit("b", {0.2, 0.8});
+    tree.update("a", {0.2, 0.8});
+    const auto allocation = tree.allocateDense();
+    // Identical agents split equally.
+    EXPECT_NEAR(allocation.at(0, 0), 12.0, 1e-12);
+    EXPECT_NEAR(allocation.at(1, 0), 12.0, 1e-12);
+    EXPECT_NEAR(allocation.at(0, 1), 6.0, 1e-12);
+    EXPECT_NEAR(allocation.at(1, 1), 6.0, 1e-12);
+}
+
+TEST(AgentRegistry, CountsChurnEvents)
+{
+    auto tree = exampleTree();
+    tree.admit("a", {0.6, 0.4});
+    tree.admit("b", {0.2, 0.8});
+    tree.update("a", {0.5, 0.5});
+    tree.depart("b");
+    EXPECT_EQ(tree.churnEvents(), 4u);
+}
+
+TEST(AgentRegistry, AllocateRequiresAgents)
+{
+    auto tree = exampleTree();
+    EXPECT_THROW(tree.allocateDense(), FatalError);
+    tree.admit("a", {0.6, 0.4});
+    tree.depart("a");
+    EXPECT_THROW(tree.allocateDense(), FatalError);
 }
 
 /** Seeded churn over a small pool forest, self-checking as it goes
@@ -167,10 +323,11 @@ churnAndVerify(std::size_t shards, std::uint32_t seed)
     // The pooled dense allocation equals the flat closed form over
     // the same agents, bit for bit.
     std::vector<std::string> names;
-    const core::Allocation pooled = tree.allocateDense(&names);
+    core::AgentList agents;
+    const core::Allocation pooled = tree.allocateDense(&names, &agents);
     const core::Allocation flat =
         core::ProportionalElasticityMechanism().allocate(
-            tree.agentList(), tree.capacity());
+            agents, tree.capacity());
     expectBitwiseEqual(pooled, flat);
 
     // And every lazily computed per-agent share is the dense row.
@@ -206,9 +363,31 @@ TEST(PoolTree, DenseOrderIsAdmissionOrderAcrossReadmission)
     EXPECT_EQ(names, (std::vector<std::string>{"c", "b", "a"}));
 
     tree.depart("b");
+    EXPECT_FALSE(tree.contains("b"));
+    tree.allocateDense(&names);
+    EXPECT_EQ(names, (std::vector<std::string>{"c", "a"}));
+
     tree.admit("b", {0.6, 0.4});
     tree.allocateDense(&names);
     EXPECT_EQ(names, (std::vector<std::string>{"c", "a", "b"}));
+
+    // Enough departures to compact the order index, interleaved with
+    // admissions, keep the survivors in admission order.
+    std::vector<std::string> expected = names;
+    for (int i = 0; i < 12; ++i) {
+        const std::string name = "n" + std::to_string(i);
+        tree.admit(name, {0.5, 0.5});
+        expected.push_back(name);
+        if (i % 3 != 2) {
+            tree.depart(expected.front());
+            expected.erase(expected.begin());
+        }
+    }
+    tree.depart("n5");
+    expected.erase(std::find(expected.begin(), expected.end(), "n5"));
+    tree.allocateDense(&names);
+    EXPECT_EQ(names, expected);
+    EXPECT_EQ(tree.size(), expected.size());
 }
 
 TEST(PoolTree, WeightedPoolsScaleSharesByGain)

@@ -1,9 +1,10 @@
 /**
- * Property test for the registry's incremental allocation: after ANY
- * sequence of admits, departs and updates, allocate() must be
- * byte-identical to the from-scratch ProportionalElasticityMechanism
- * recompute, and the allocation must satisfy the REF fairness
- * properties. Randomized but fully deterministic (fixed seeds).
+ * Property test for a flat service's incremental allocation (a
+ * root-only pool tree): after ANY sequence of admits, departs and
+ * updates, allocateDense() must be byte-identical to the
+ * from-scratch ProportionalElasticityMechanism recompute, and the
+ * allocation must satisfy the REF fairness properties. Randomized
+ * but fully deterministic (fixed seeds).
  */
 
 #include <cstring>
@@ -14,23 +15,24 @@
 #include <gtest/gtest.h>
 
 #include "core/fairness.hh"
-#include "svc/agent_registry.hh"
+#include "core/proportional_elasticity.hh"
+#include "pool/pool_tree.hh"
 
 namespace {
 
 using namespace ref;
-using svc::AgentRegistry;
+using pool::PoolTree;
 
 class ChurnModel
 {
   public:
     explicit ChurnModel(std::uint32_t seed)
-        : registry_(core::SystemCapacity::cacheAndBandwidthExample()),
+        : tree_(core::SystemCapacity::cacheAndBandwidthExample()),
           rng_(seed)
     {
     }
 
-    AgentRegistry &registry() { return registry_; }
+    PoolTree &tree() { return tree_; }
 
     /** Apply one random admit/depart/update. */
     void step()
@@ -43,19 +45,18 @@ class ChurnModel
         if (live_.empty() || roll < 5) {
             const std::string name =
                 "agent" + std::to_string(nextId_++);
-            registry_.admit(name,
-                            {elasticity(rng_), elasticity(rng_)});
+            tree_.admit(name, {elasticity(rng_), elasticity(rng_)});
             live_.push_back(name);
         } else if (roll < 8) {
             std::uniform_int_distribution<std::size_t> pick(
                 0, live_.size() - 1);
-            registry_.update(live_[pick(rng_)],
-                             {elasticity(rng_), elasticity(rng_)});
+            tree_.update(live_[pick(rng_)],
+                         {elasticity(rng_), elasticity(rng_)});
         } else {
             std::uniform_int_distribution<std::size_t> pick(
                 0, live_.size() - 1);
             const std::size_t victim = pick(rng_);
-            registry_.depart(live_[victim]);
+            tree_.depart(live_[victim]);
             live_.erase(live_.begin() +
                         static_cast<std::ptrdiff_t>(victim));
         }
@@ -64,16 +65,26 @@ class ChurnModel
     bool empty() const { return live_.empty(); }
 
   private:
-    AgentRegistry registry_;
+    PoolTree tree_;
     std::mt19937 rng_;
     std::vector<std::string> live_;
     std::uint64_t nextId_ = 0;
 };
 
+/**
+ * The tree's dense allocation against the closed form run from
+ * scratch over the same agents, exact double compare.
+ */
 void
-expectBitIdentical(const core::Allocation &incremental,
-                   const core::Allocation &scratch)
+expectMatchesScratch(const PoolTree &tree)
 {
+    ASSERT_TRUE(tree.selfCheck());
+    core::AgentList agents;
+    const core::Allocation incremental =
+        tree.allocateDense(nullptr, &agents);
+    const core::Allocation scratch =
+        core::ProportionalElasticityMechanism().allocate(
+            agents, tree.capacity());
     ASSERT_EQ(incremental.agents(), scratch.agents());
     ASSERT_EQ(incremental.resources(), scratch.resources());
     for (std::size_t i = 0; i < incremental.agents(); ++i)
@@ -91,8 +102,7 @@ TEST(ChurnProperty, IncrementalMatchesScratchAfterAnyChurn)
             model.step();
             if (model.empty())
                 continue;
-            expectBitIdentical(model.registry().allocate(),
-                               model.registry().allocateFromScratch());
+            expectMatchesScratch(model.tree());
         }
     }
 }
@@ -105,11 +115,11 @@ TEST(ChurnProperty, AllocationsStayFairUnderChurn)
         model.step();
         if (model.empty())
             continue;
-        const auto &registry = model.registry();
-        const auto allocation = registry.allocate();
-        const auto agents = registry.agentList();
+        const auto &tree = model.tree();
+        core::AgentList agents;
+        const auto allocation = tree.allocateDense(nullptr, &agents);
         const auto si = core::checkSharingIncentives(
-            agents, registry.capacity(), allocation, tolerance);
+            agents, tree.capacity(), allocation, tolerance);
         EXPECT_TRUE(si.satisfied) << "step " << step << ": "
                                   << si.binding;
         const auto ef = core::checkEnvyFreeness(agents, allocation,
@@ -134,27 +144,23 @@ TEST(ChurnProperty, AllocationsStayFairUnderChurn)
 // the exact accumulator must not.
 TEST(ChurnProperty, WideMagnitudeChurnStaysExact)
 {
-    AgentRegistry registry(
-        core::SystemCapacity::cacheAndBandwidthExample());
-    registry.admit("tiny0", {1e-9, 2e-9});
-    registry.admit("huge0", {1e9, 3e9});
-    registry.admit("tiny1", {3e-9, 1e-9});
-    registry.admit("huge1", {2e9, 1e9});
-    expectBitIdentical(registry.allocate(),
-                       registry.allocateFromScratch());
+    PoolTree tree(core::SystemCapacity::cacheAndBandwidthExample());
+    tree.admit("tiny0", {1e-9, 2e-9});
+    tree.admit("huge0", {1e9, 3e9});
+    tree.admit("tiny1", {3e-9, 1e-9});
+    tree.admit("huge1", {2e9, 1e9});
+    expectMatchesScratch(tree);
 
-    registry.depart("huge0");
-    registry.depart("huge1");
+    tree.depart("huge0");
+    tree.depart("huge1");
     // Only the tiny agents remain; any absorbed bits would surface
     // here as a divergence from the scratch recompute.
-    expectBitIdentical(registry.allocate(),
-                       registry.allocateFromScratch());
+    expectMatchesScratch(tree);
 
-    registry.admit("huge2", {5e8, 5e8});
-    registry.update("tiny0", {2e-9, 4e-9});
-    registry.depart("huge2");
-    expectBitIdentical(registry.allocate(),
-                       registry.allocateFromScratch());
+    tree.admit("huge2", {5e8, 5e8});
+    tree.update("tiny0", {2e-9, 4e-9});
+    tree.depart("huge2");
+    expectMatchesScratch(tree);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pool/pool_tree.hh"
 #include "sched/wfq.hh"
-#include "svc/agent_registry.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -18,10 +18,10 @@ exampleCapacity()
 
 TEST(EnforcementBridge, TranslatesSharesIntoWaysAndWeights)
 {
-    svc::AgentRegistry registry(exampleCapacity());
-    registry.admit("user1", {0.6, 0.4});
-    registry.admit("user2", {0.2, 0.8});
-    const auto allocation = registry.allocate();
+    pool::PoolTree tree(exampleCapacity());
+    tree.admit("user1", {0.6, 0.4});
+    tree.admit("user2", {0.2, 0.8});
+    const auto allocation = tree.allocateDense();
 
     const auto plan = svc::buildEnforcementPlan(
         {"user1", "user2"}, allocation, exampleCapacity(), 16);
@@ -51,14 +51,14 @@ TEST(EnforcementBridge, EmptyAllocationYieldsEmptyPlan)
 
 TEST(EnforcementBridge, MoreAgentsThanWaysFallsBackToSharedCache)
 {
-    svc::AgentRegistry registry(exampleCapacity());
+    pool::PoolTree tree(exampleCapacity());
     std::vector<std::string> names;
     for (int i = 0; i < 6; ++i) {
         names.push_back("agent" + std::to_string(i));
-        registry.admit(names.back(), {0.5, 0.5});
+        tree.admit(names.back(), {0.5, 0.5});
     }
     const auto plan = svc::buildEnforcementPlan(
-        names, registry.allocate(), exampleCapacity(), 4);
+        names, tree.allocateDense(), exampleCapacity(), 4);
     EXPECT_FALSE(plan.hasPartition);
     EXPECT_FALSE(plan.partitionNote.empty());
     // Bandwidth is still shaped.
@@ -78,10 +78,10 @@ TEST(EnforcementBridge, RejectsNonPairCapacity)
 
 TEST(EnforcementBridge, RejectsShapeMismatch)
 {
-    svc::AgentRegistry registry(exampleCapacity());
-    registry.admit("a", {0.6, 0.4});
+    pool::PoolTree tree(exampleCapacity());
+    tree.admit("a", {0.6, 0.4});
     EXPECT_THROW(svc::buildEnforcementPlan({"a", "phantom"},
-                                           registry.allocate(),
+                                           tree.allocateDense(),
                                            exampleCapacity(), 16),
                  FatalError);
 }

@@ -7,22 +7,22 @@
 namespace {
 
 using namespace ref;
-using svc::AgentRegistry;
 using svc::EpochConfig;
 using svc::EpochDriver;
 
-AgentRegistry
-exampleRegistry()
+/** A flat service's store: a root-only pool tree. */
+pool::PoolTree
+rootOnlyTree()
 {
-    return AgentRegistry(
+    return pool::PoolTree(
         core::SystemCapacity::cacheAndBandwidthExample());
 }
 
 TEST(EpochDriver, EpochCounterIsMonotonic)
 {
-    auto registry = exampleRegistry();
-    registry.admit("a", {0.6, 0.4});
-    EpochDriver driver(registry);
+    auto tree = rootOnlyTree();
+    tree.admit("a", {0.6, 0.4});
+    EpochDriver driver(tree);
     EXPECT_EQ(driver.tick().epoch, 1u);
     EXPECT_EQ(driver.tick().epoch, 2u);
     EXPECT_EQ(driver.epoch(), 2u);
@@ -30,10 +30,10 @@ TEST(EpochDriver, EpochCounterIsMonotonic)
 
 TEST(EpochDriver, ChecksPropertiesEachEpoch)
 {
-    auto registry = exampleRegistry();
-    registry.admit("a", {0.6, 0.4});
-    registry.admit("b", {0.2, 0.8});
-    EpochDriver driver(registry);
+    auto tree = rootOnlyTree();
+    tree.admit("a", {0.6, 0.4});
+    tree.admit("b", {0.2, 0.8});
+    EpochDriver driver(tree);
     const auto result = driver.tick();
     ASSERT_TRUE(result.propertiesChecked);
     EXPECT_TRUE(result.sharingIncentives.satisfied);
@@ -43,26 +43,26 @@ TEST(EpochDriver, ChecksPropertiesEachEpoch)
 
 TEST(EpochDriver, SelfCheckPassesUnderChurn)
 {
-    auto registry = exampleRegistry();
+    auto tree = rootOnlyTree();
     EpochConfig config;
     config.verifyIncremental = true;
-    EpochDriver driver(registry, config);
-    registry.admit("a", {0.6, 0.4});
+    EpochDriver driver(tree, config);
+    tree.admit("a", {0.6, 0.4});
     driver.tick();
-    registry.admit("b", {0.2, 0.8});
-    registry.update("a", {0.3, 0.7});
+    tree.admit("b", {0.2, 0.8});
+    tree.update("a", {0.3, 0.7});
     const auto result = driver.tick();
     EXPECT_TRUE(result.incrementalMatchesScratch);
 }
 
 TEST(EpochDriver, HysteresisHoldsSmallChanges)
 {
-    auto registry = exampleRegistry();
-    registry.admit("a", {0.6, 0.4});
-    registry.admit("b", {0.2, 0.8});
+    auto tree = rootOnlyTree();
+    tree.admit("a", {0.6, 0.4});
+    tree.admit("b", {0.2, 0.8});
     EpochConfig config;
     config.hysteresis = 0.05;
-    EpochDriver driver(registry, config);
+    EpochDriver driver(tree, config);
 
     // First epoch always enforces.
     EXPECT_TRUE(driver.tick().enforcementChanged);
@@ -73,27 +73,27 @@ TEST(EpochDriver, HysteresisHoldsSmallChanges)
     EXPECT_EQ(result.maxRelativeChange, 0.0);
 
     // A tiny preference nudge stays inside the 5% band.
-    registry.update("a", {0.6005, 0.3995});
+    tree.update("a", {0.6005, 0.3995});
     result = driver.tick();
     EXPECT_FALSE(result.enforcementChanged);
     EXPECT_GT(result.maxRelativeChange, 0.0);
     EXPECT_LT(result.maxRelativeChange, 0.05);
 
     // A big swing crosses it.
-    registry.update("a", {0.1, 0.9});
+    tree.update("a", {0.1, 0.9});
     result = driver.tick();
     EXPECT_TRUE(result.enforcementChanged);
 }
 
 TEST(EpochDriver, AgentChurnAlwaysReenforces)
 {
-    auto registry = exampleRegistry();
-    registry.admit("a", {0.6, 0.4});
+    auto tree = rootOnlyTree();
+    tree.admit("a", {0.6, 0.4});
     EpochConfig config;
     config.hysteresis = 0.5;  // Generous band...
-    EpochDriver driver(registry, config);
+    EpochDriver driver(tree, config);
     driver.tick();
-    registry.admit("b", {0.6, 0.4});
+    tree.admit("b", {0.6, 0.4});
     // ...but a new agent changes the allocation shape, so the old
     // enforcement cannot be kept regardless of the band.
     const auto result = driver.tick();
@@ -102,8 +102,8 @@ TEST(EpochDriver, AgentChurnAlwaysReenforces)
 
 TEST(EpochDriver, IdleSystemTicksCleanly)
 {
-    auto registry = exampleRegistry();
-    EpochDriver driver(registry);
+    auto tree = rootOnlyTree();
+    EpochDriver driver(tree);
     const auto result = driver.tick();
     EXPECT_EQ(result.epoch, 1u);
     EXPECT_TRUE(result.agentNames.empty());
@@ -114,11 +114,11 @@ TEST(EpochDriver, IdleSystemTicksCleanly)
 
 TEST(EpochDriver, DepartToEmptyDropsEnforcement)
 {
-    auto registry = exampleRegistry();
-    registry.admit("a", {0.6, 0.4});
-    EpochDriver driver(registry);
+    auto tree = rootOnlyTree();
+    tree.admit("a", {0.6, 0.4});
+    EpochDriver driver(tree);
     driver.tick();
-    registry.depart("a");
+    tree.depart("a");
     const auto result = driver.tick();
     EXPECT_TRUE(result.enforcementChanged);
     EXPECT_EQ(driver.enforced().agents(), 0u);
@@ -126,10 +126,42 @@ TEST(EpochDriver, DepartToEmptyDropsEnforcement)
 
 TEST(EpochDriver, RejectsNegativeHysteresis)
 {
-    auto registry = exampleRegistry();
+    auto tree = rootOnlyTree();
     EpochConfig config;
     config.hysteresis = -0.1;
-    EXPECT_THROW(EpochDriver(registry, config), FatalError);
+    EXPECT_THROW(EpochDriver(tree, config), FatalError);
+}
+
+TEST(EpochDriver, PooledTicksPublishNothingDense)
+{
+    auto tree = rootOnlyTree();
+    tree.createPool("p", 1.0);
+    tree.admit("a", {0.6, 0.4}, "p");
+    tree.admit("b", {0.2, 0.8});
+    EpochConfig config;
+    config.verifyIncremental = true;
+    EpochDriver driver(tree, config, /*pooled=*/true);
+
+    // Small and unweighted: the dense stage runs for SI/EF only.
+    auto result = driver.tick();
+    EXPECT_TRUE(result.pooled);
+    EXPECT_EQ(result.liveAgents, 2u);
+    EXPECT_EQ(result.pools, 2u);
+    EXPECT_TRUE(result.agentNames.empty());
+    EXPECT_EQ(result.allocation.agents(), 0u);
+    ASSERT_TRUE(result.propertiesChecked);
+    EXPECT_TRUE(result.sharingIncentives.satisfied);
+    EXPECT_TRUE(result.envyFreeness.satisfied);
+    EXPECT_TRUE(result.incrementalMatchesScratch);
+    EXPECT_FALSE(result.enforcementChanged);
+    EXPECT_EQ(driver.enforced().agents(), 0u);
+
+    // A weighted pool turns the flat SI/EF baselines off.
+    tree.createPool("heavy", 2.0);
+    tree.assign("a", "heavy");
+    result = driver.tick();
+    EXPECT_FALSE(result.propertiesChecked);
+    EXPECT_TRUE(result.incrementalMatchesScratch);
 }
 
 } // namespace
