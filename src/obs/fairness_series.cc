@@ -1,5 +1,6 @@
 #include "fairness_series.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <ostream>
@@ -88,7 +89,7 @@ FairnessSeries::appendLabelled(const std::string &label,
         }
         found = labelled_.emplace(label, Ring{}).first;
     }
-    found->second.push(sample, capacity_);
+    found->second.push(sample, std::min(capacity_, kLabelledCapacity));
     ++labelledAppended_;
 }
 

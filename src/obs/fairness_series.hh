@@ -21,7 +21,10 @@
  *
  * Storage is a bounded ring (oldest samples drop first) guarded by a
  * mutex; exports are CSV (one row per epoch, plottable directly) and
- * JSON (array of objects).
+ * JSON (array of objects). Labelled sub-series (one per pool or
+ * cohort) keep at most kLabelledCapacity samples each and at most
+ * kMaxLabels labels, so together they hold no more than the main
+ * ring's default capacity.
  */
 
 #ifndef REF_OBS_FAIRNESS_SERIES_HH
@@ -69,6 +72,11 @@ class FairnessSeries
      *  runaway pool population cannot exhaust memory. */
     static constexpr std::size_t kMaxLabels = 4096;
 
+    /** Per-label ring bound: every label at the cap together holds
+     *  kDefaultCapacity samples (64 MiB), the main ring's default. */
+    static constexpr std::size_t kLabelledCapacity =
+        kDefaultCapacity / kMaxLabels;
+
     explicit FairnessSeries(
         std::size_t capacity = kDefaultCapacity);
 
@@ -76,8 +84,8 @@ class FairnessSeries
 
     /**
      * Append to the labelled sub-series @p label (pooled mode: one
-     * per pool path). Labelled rings share the main ring's capacity
-     * and grow lazily.
+     * per pool path). Each labelled ring keeps the newest
+     * min(capacity(), kLabelledCapacity) samples and grows lazily.
      */
     void appendLabelled(const std::string &label,
                         const FairnessSample &sample);

@@ -448,10 +448,9 @@ FollowerClient::handleMessage(std::string_view payload, int fd)
                          << message.seq << "; resyncing");
                 return false;
             }
-            service_.applyShipped(record);
+            const std::uint32_t mine = service_.applyShipped(record);
             lastApplied_ = message.seq;
             if (record.type == svc::JournalRecord::Type::Tick) {
-                const std::uint32_t mine = service_.stateHash();
                 if (mine != message.stateHash) {
                     // The whole point of the hash: a divergent
                     // replica must never serve. Drop everything

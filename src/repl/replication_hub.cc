@@ -163,6 +163,9 @@ ReplicationHub::noteAck(std::uint64_t seq, std::uint64_t lagNs)
 void
 ReplicationHub::noteSubscribe()
 {
+    // Before the caller pins its snapshot under the service write
+    // mutex, so every record after that point is hashed.
+    hashWanted_.store(true);
     std::lock_guard<std::mutex> lock(mutex_);
     followersGauge_.set(static_cast<double>(++followers_));
 }

@@ -64,6 +64,14 @@ class ReplicationHub final : public svc::ReplicationSink
      *  every subscriber is forced onto a snapshot of the new
      *  history instead of tailing records from the old one. */
     void onStateAdopted() override;
+    /** False until the first noteSubscribe(), then true for good:
+     *  every record after a subscriber's snapshot point carries the
+     *  real tick hash (see DESIGN.md, "Hash only what a follower
+     *  can read"). */
+    bool wantsTickHash() const override
+    {
+        return hashWanted_.load();
+    }
     ///@}
 
     /** This primary incarnation's stream identity (never 0). */
@@ -106,6 +114,10 @@ class ReplicationHub final : public svc::ReplicationSink
     /** Atomic: reset by onStateAdopted while transports read it. */
     std::atomic<std::uint64_t> streamId_;
     std::vector<std::function<void()>> wakeCallbacks_;
+    /** Sticky: set by the first noteSubscribe, never cleared. A
+     *  resubscribing follower tail-resumes across records shipped
+     *  while it was away, so those must carry the hash too. */
+    std::atomic<bool> hashWanted_{false};
 
     obs::Gauge &headSeqGauge_;
     obs::Gauge &ackedSeqGauge_;

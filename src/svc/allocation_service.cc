@@ -568,16 +568,22 @@ AllocationService::setReplicationSink(ReplicationSink *sink)
     sink_ = sink;
 }
 
-void
+std::uint32_t
 AllocationService::applyShipped(const JournalRecord &record)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
     applyRecordLocked(record);
+    // One hash per tick: the caller's divergence check and any
+    // chained sink read the same value.
+    const std::uint32_t hash =
+        record.type == JournalRecord::Type::Tick ? stateHashLocked()
+                                                 : 0;
     // Re-journal locally: the follower keeps its own durable
     // history (and re-ships to any chained sink), so a promoted
     // follower restarts from its own snapshot + wal like any
     // primary.
-    journalAppendLocked(record);
+    journalAppendLocked(record, hash);
+    return hash;
 }
 
 std::uint32_t
@@ -813,18 +819,22 @@ AllocationService::recoverLocked()
 }
 
 void
-AllocationService::journalAppendLocked(const JournalRecord &record)
+AllocationService::journalAppendLocked(
+    const JournalRecord &record,
+    std::optional<std::uint32_t> tickHash)
 {
     if (sink_) {
         // Ship the exact WAL byte stream. Ticks carry the post-tick
         // state hash so the follower can prove bit-identity after
         // applying each epoch (restore-is-bit-identical makes any
-        // divergence a hard fault, never silent drift).
+        // divergence a hard fault, never silent drift). Until a
+        // follower can read the stream the hash is skipped: 0.
         const bool isTick =
             record.type == JournalRecord::Type::Tick;
+        if (isTick && !tickHash && sink_->wantsTickHash())
+            tickHash = stateHashLocked();
         sink_->onRecord(encodeJournalRecord(record), isTick,
-                        record.epoch,
-                        isTick ? stateHashLocked() : 0);
+                        record.epoch, tickHash.value_or(0));
     }
     if (!journal_)
         return;

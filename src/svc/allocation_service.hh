@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -218,9 +219,11 @@ class AllocationService
      * bit-identical to the primary's by the same argument as crash
      * recovery. The record is re-journaled locally (the follower
      * keeps its own durable history) and re-shipped to any chained
-     * sink.
+     * sink. Returns the post-apply stateHash() for a Tick record
+     * (computed once, under the same lock, and handed to the
+     * chained sink too), 0 for any other record.
      */
-    void applyShipped(const JournalRecord &record);
+    std::uint32_t applyShipped(const JournalRecord &record);
 
     /**
      * Replace the entire service state with @p state (snapshot
@@ -270,8 +273,12 @@ class AllocationService
     std::uint32_t stateHashLocked() const;
     /** Apply one replayed wal record through the normal paths. */
     void applyRecordLocked(const JournalRecord &record);
-    /** Journal one accepted record; handles degraded mode. */
-    void journalAppendLocked(const JournalRecord &record);
+    /** Journal one accepted record; handles degraded mode. A tick
+     *  ships @p tickHash when given, else stateHashLocked() when
+     *  the sink wants it, else 0. */
+    void journalAppendLocked(
+        const JournalRecord &record,
+        std::optional<std::uint32_t> tickHash = std::nullopt);
     /** Write snapshot generation+1, then restart the wal on it. */
     bool compactLocked();
     /** Full service state for a snapshot. */

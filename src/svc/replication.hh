@@ -37,11 +37,22 @@ class ReplicationSink
      * payload (encodeJournalRecord). @p isTick marks epoch ticks;
      * for those @p stateHash is the CRC32 of the service's full
      * post-tick state (generation zeroed), the follower's
-     * divergence check. Called under the service write mutex.
+     * divergence check — or 0 when wantsTickHash() returned false
+     * for this tick (non-tick records always carry 0). Called under
+     * the service write mutex.
      */
     virtual void onRecord(const std::string &payload, bool isTick,
                           std::uint64_t epoch,
                           std::uint32_t stateHash) = 0;
+
+    /**
+     * Whether the next tick record must carry the real state hash.
+     * The hash costs a full state capture, encode and CRC per
+     * tick, so a sink that no reader can see yet (no follower ever
+     * subscribed) answers false and the service ships 0 instead.
+     * Read under the service write mutex, just before onRecord.
+     */
+    virtual bool wantsTickHash() const { return true; }
 
     /** Sequence number of the last record handed to onRecord. */
     virtual std::uint64_t headSeq() const = 0;

@@ -3,7 +3,9 @@
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
  * ranges, the checksum framing every durable record in the repository
  * (svc journal frames, svc snapshots, sim profile disk-cache cells).
- * Table-driven, incremental: crc32(b, crc32(a)) == crc32(a + b).
+ * Table-driven (slicing-by-8 on little-endian hosts, bytewise
+ * elsewhere; the output is the same), incremental:
+ * crc32(b, crc32(a)) == crc32(a + b).
  */
 
 #ifndef REF_UTIL_CRC32_HH

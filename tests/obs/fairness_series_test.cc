@@ -145,6 +145,27 @@ TEST(FairnessSeries, LabelledRingsShareTheBoundedCapacity)
     EXPECT_EQ(series.totalLabelledAppended(), 9u);
 }
 
+TEST(FairnessSeries, LabelledRingsKeepTheNewestKLabelledCapacity)
+{
+    // Default capacity: the per-label cap, not the main ring's
+    // 2^20, bounds each labelled ring.
+    FairnessSeries series;
+    const std::uint64_t total = FairnessSeries::kLabelledCapacity + 10;
+    for (std::uint64_t e = 1; e <= total; ++e)
+        series.appendLabelled("p", sampleAt(e));
+    series.append(sampleAt(1));
+
+    const auto samples = series.labelledSamples("p");
+    ASSERT_EQ(samples.size(), FairnessSeries::kLabelledCapacity);
+    EXPECT_EQ(samples.front().epoch, 11u);
+    EXPECT_EQ(samples.back().epoch, total);
+    EXPECT_EQ(series.totalLabelledAppended(), total);
+    // The main ring keeps its own, larger bound.
+    EXPECT_EQ(series.capacity(), FairnessSeries::kDefaultCapacity);
+    EXPECT_EQ(series.size(), 1u);
+    EXPECT_EQ(series.totalAppended(), 1u);
+}
+
 TEST(FairnessSeries, LabelCapDropsNewLabelsButNotOldOnes)
 {
     FairnessSeries series(2);

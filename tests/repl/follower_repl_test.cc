@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -271,6 +272,103 @@ TEST(FollowerRepl, AutoPromoteFiresOnPrimarySilence)
     }
 }
 
+/**
+ * A primary whose transport can go away and come back on the same
+ * port while the service and hub live on: the follower's reconnect
+ * then offers `SYNC <stream> <seq>` to the same stream.
+ */
+struct RestartablePrimary
+{
+    RestartablePrimary() { service.setReplicationSink(&hub); }
+
+    ~RestartablePrimary()
+    {
+        stopServer();
+        service.setReplicationSink(nullptr);
+    }
+
+    void startServer()
+    {
+        net::ServerOptions options;
+        options.listenAddress = "127.0.0.1:" + std::to_string(port);
+        options.replicationHub = &hub;
+        options.heartbeatIntervalMs = 50;
+        server = std::make_unique<net::SocketServer>(service, options);
+        server->start();
+        port = server->tcpPort();
+        thread = std::thread([this] { server->run(); });
+    }
+
+    void stopServer()
+    {
+        if (thread.joinable()) {
+            server->requestStop();
+            thread.join();
+        }
+        server.reset();
+    }
+
+    svc::AllocationService service;
+    ReplicationHub hub;
+    std::uint16_t port = 0;
+    std::unique_ptr<net::SocketServer> server;
+    std::thread thread;
+};
+
+TEST(FollowerRepl, LateSubscriberAfterUnhashedTicksNeverDiverges)
+{
+    RestartablePrimary primary;
+    primary.startServer();
+
+    // Ticks with no follower ever subscribed ship unhashed.
+    runCommands(primary.port, {"ADMIT web 1.0 0.4",
+                               "ADMIT batch 0.2 0.7", "TICK 12"});
+    std::vector<ReplicationHub::Entry> early;
+    ASSERT_TRUE(primary.hub.fetchAfter(0, 100, early));
+    ASSERT_EQ(early.size(), 14u);
+    EXPECT_EQ(early.back().stateHash, 0u);
+
+    // A late follower joins by snapshot, then follows hashed ticks.
+    svc::AllocationService standby;
+    FollowerClient::Options options;
+    options.address = "127.0.0.1:" + std::to_string(primary.port);
+    options.reconnectDelayMs = 20;
+    FollowerClient follower(standby, options);
+    follower.start();
+    const auto caughtUp = [&] {
+        return follower.stats().lastAppliedSeq ==
+               primary.hub.headSeq();
+    };
+    ASSERT_TRUE(waitFor(caughtUp));
+    runCommands(primary.port, {"ADMIT scan 0.5 0.5", "TICK 4"});
+    ASSERT_TRUE(waitFor(caughtUp));
+    const FollowerClient::Stats joined = follower.stats();
+    EXPECT_EQ(joined.snapshotsLoaded, 1u);
+
+    // The transport goes away; the primary keeps ticking in
+    // process while the follower cannot reach it.
+    primary.stopServer();
+    primary.service.update("web", {0.9, 0.5});
+    for (int i = 0; i < 5; ++i)
+        primary.service.tick();
+
+    // Back on the same port: the follower tail-resumes across the
+    // ticks it missed, and every one of them carries the real hash.
+    primary.startServer();
+    ASSERT_TRUE(waitFor(caughtUp))
+        << "resume stalled: applied "
+        << follower.stats().lastAppliedSeq << " of "
+        << primary.hub.headSeq();
+
+    const FollowerClient::Stats resumed = follower.stats();
+    EXPECT_GT(resumed.reconnects, joined.reconnects);
+    EXPECT_EQ(resumed.snapshotsLoaded, joined.snapshotsLoaded);
+    EXPECT_EQ(resumed.divergences, 0u);
+    EXPECT_EQ(standby.stateHash(), primary.service.stateHash());
+
+    follower.stop();
+}
+
 TEST(FollowerRepl, FollowerChainsAsSecondHopReplica)
 {
     // primary -> middle (follower that also runs a hub and server)
@@ -298,6 +396,13 @@ TEST(FollowerRepl, FollowerChainsAsSecondHopReplica)
     FollowerClient leafFollower(leaf, leafOptions);
     leafFollower.start();
 
+    // The middle must be subscribed before the primary takes
+    // traffic: a middle that joins late gets the whole history as
+    // one snapshot, its hub ships no records, and middleHub.headSeq()
+    // stays 0.
+    ASSERT_TRUE(waitFor([&] {
+        return middleFollower.stats().snapshotsLoaded >= 1;
+    })) << "middle never synced from the primary";
     runCommands(primary.harness->port(),
                 {"ADMIT web 1.0 0.4", "ADMIT batch 0.2 0.7",
                  "TICK 4"});
@@ -311,6 +416,9 @@ TEST(FollowerRepl, FollowerChainsAsSecondHopReplica)
     })) << "chain stalled: primary head "
         << primary.hub.headSeq() << ", middle applied "
         << middleFollower.stats().lastAppliedSeq
+        << ", middle head " << middleHub.headSeq()
+        << ", middle snapshots "
+        << middleFollower.stats().snapshotsLoaded
         << ", leaf applied "
         << leafFollower.stats().lastAppliedSeq;
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Hub semantics: sequence assignment, ring eviction forcing the
- * snapshot-resync answer, cursor edge cases, and wake callbacks.
+ * snapshot-resync answer, cursor edge cases, wake callbacks, and the
+ * tick hash that is computed only once a follower has subscribed.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "repl/replication_hub.hh"
+#include "svc/allocation_service.hh"
 
 namespace ref::repl {
 namespace {
@@ -121,6 +123,51 @@ TEST(ReplicationHub, WakeCallbackFiresPerRecord)
     push(hub, "a");
     push(hub, "b");
     EXPECT_EQ(wakes, 2);
+}
+
+TEST(ReplicationHub, TickHashWantedOnlyOnceSubscribed)
+{
+    ReplicationHub hub(8);
+    EXPECT_FALSE(hub.wantsTickHash());
+    hub.noteSubscribe();
+    EXPECT_TRUE(hub.wantsTickHash());
+    // Sticky: a follower that drops out may tail-resume later
+    // across everything shipped meanwhile.
+    hub.noteUnsubscribe();
+    EXPECT_TRUE(hub.wantsTickHash());
+    hub.onStateAdopted();
+    EXPECT_TRUE(hub.wantsTickHash());
+}
+
+TEST(ReplicationHub, TickEntriesCarryTheStateHashOnlyOnceSubscribed)
+{
+    ReplicationHub hub(64);
+    svc::AllocationService service;
+    service.setReplicationSink(&hub);
+    service.admit("web", {1.0, 0.4});
+    service.admit("batch", {0.2, 0.7});
+
+    // No subscriber yet: ticks ship, unhashed.
+    for (int i = 0; i < 3; ++i)
+        service.tick();
+    std::vector<ReplicationHub::Entry> entries;
+    ASSERT_TRUE(hub.fetchAfter(0, 100, entries));
+    ASSERT_EQ(entries.size(), 5u);
+    for (const auto &entry : entries)
+        EXPECT_EQ(entry.stateHash, 0u) << "seq " << entry.seq;
+
+    hub.noteSubscribe();
+    service.admit("scan", {0.5, 0.5});
+    for (int i = 0; i < 3; ++i) {
+        service.tick();
+        entries.clear();
+        ASSERT_TRUE(hub.fetchAfter(hub.headSeq() - 1, 1, entries));
+        ASSERT_EQ(entries.size(), 1u);
+        ASSERT_TRUE(entries[0].isTick);
+        EXPECT_EQ(entries[0].stateHash, service.stateHash())
+            << "tick " << i;
+    }
+    service.setReplicationSink(nullptr);
 }
 
 } // namespace
