@@ -10,8 +10,11 @@
  * flat_epoch generates them. Every round visits every population in
  * a rotating order and applies 16 UPDATEs of random agents, then
  * times one tick(), so a change in host speed lands on all sizes
- * alike. Prints p50/p99 per N and how many rows the EF check
- * evaluated pair by pair, and writes the BENCH records:
+ * alike. Prints p50/p99 per N, how many rows the EF check evaluated
+ * pair by pair, and the p50 of each TICK phase (EpochResult::phases:
+ * dense rows, SI, EF, hysteresis, drift with the series append, and
+ * publish with the enforcement plan), and writes the BENCH records
+ * with a phase_<name>_p50_ns field per phase:
  *
  *   bench_flat_tick [--out BENCH_flat_tick.json]
  *
@@ -44,6 +47,22 @@ constexpr std::size_t kSizes[] = {256, 512, 1024, 2048, 4096, 8192};
 constexpr std::size_t kTicks = 1000;
 constexpr std::uint64_t kSeed = 1;
 
+/** The TICK phases reported, in tick order. */
+struct Phase
+{
+    const char *name;
+    std::chrono::nanoseconds svc::TickPhases::*field;
+};
+constexpr Phase kPhases[] = {
+    {"allocate", &svc::TickPhases::allocate},
+    {"self_check", &svc::TickPhases::selfCheck},
+    {"si", &svc::TickPhases::sharingIncentives},
+    {"ef", &svc::TickPhases::envyFreeness},
+    {"hysteresis", &svc::TickPhases::hysteresis},
+    {"publish", &svc::TickPhases::publish},
+    {"drift", &svc::TickPhases::drift},
+};
+
 /** The BENCH output path from `--out FILE`; empty prints only. */
 std::string
 parseOut(int argc, char **argv)
@@ -64,6 +83,8 @@ struct Population
     std::mt19937_64 rng;
     std::vector<double> tickNs;
     std::vector<std::size_t> rowsScanned;
+    /** Per phase (kPhases order), one sample per tick. */
+    std::vector<std::vector<double>> phaseNs{std::size(kPhases)};
 
     linalg::Vector elasticities()
     {
@@ -134,12 +155,18 @@ main(int argc, char **argv)
                     .count()));
             population.rowsScanned.push_back(
                 result.envyWork.rowsScanned);
+            for (std::size_t k = 0; k < std::size(kPhases); ++k)
+                population.phaseNs[k].push_back(static_cast<double>(
+                    (result.phases.*kPhases[k].field).count()));
         }
     }
 
-    std::printf("%8s %8s %12s %12s %12s %14s %14s\n", "agents",
+    std::printf("%8s %8s %12s %12s %12s %14s %14s", "agents",
                 "ticks", "mean_ms", "p50_ms", "p99_ms",
                 "rows_scan_p50", "rows_scan_max");
+    for (const Phase &phase : kPhases)
+        std::printf(" %12s", (std::string(phase.name) + "_us").c_str());
+    std::printf("\n");
     std::ostringstream json;
     json << "[\n";
     for (std::size_t p = 0; p < populations.size(); ++p) {
@@ -150,12 +177,18 @@ main(int argc, char **argv)
         const double mean = total / static_cast<double>(kTicks);
         const double p50 = percentile(population.tickNs, 0.50);
         const double p99 = percentile(population.tickNs, 0.99);
-        std::printf("%8zu %8zu %12.3f %12.3f %12.3f %14zu %14zu\n",
+        std::printf("%8zu %8zu %12.3f %12.3f %12.3f %14zu %14zu",
                     population.agents, kTicks, mean / 1e6,
                     p50 / 1e6, p99 / 1e6,
                     percentile(population.rowsScanned, 0.50),
                     *std::max_element(population.rowsScanned.begin(),
                                       population.rowsScanned.end()));
+        std::vector<double> phaseP50(std::size(kPhases));
+        for (std::size_t k = 0; k < std::size(kPhases); ++k) {
+            phaseP50[k] = percentile(population.phaseNs[k], 0.50);
+            std::printf(" %12.1f", phaseP50[k] / 1e3);
+        }
+        std::printf("\n");
         json << "  {\n"
              << "    \"name\": \"flat_tick_N" << population.agents
              << "\",\n"
@@ -166,7 +199,12 @@ main(int argc, char **argv)
              << "    \"tick_p50_ns\": "
              << static_cast<std::uint64_t>(p50) << ",\n"
              << "    \"tick_p99_ns\": "
-             << static_cast<std::uint64_t>(p99) << "\n"
+             << static_cast<std::uint64_t>(p99);
+        for (std::size_t k = 0; k < std::size(kPhases); ++k)
+            json << ",\n    \"phase_" << kPhases[k].name
+                 << "_p50_ns\": "
+                 << static_cast<std::uint64_t>(phaseP50[k]);
+        json << "\n"
              << "  }" << (p + 1 < populations.size() ? "," : "")
              << "\n";
     }

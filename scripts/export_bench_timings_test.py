@@ -27,6 +27,15 @@ GOOD_FULL = {"name": "socket_binary_4shard", "wall_ns": 9876.0,
 GOOD_POOLED = {**GOOD_FULL, "name": "pool_scale_P100000",
                "agents": 100000, "pools": 64,
                "tick_p50_ns": 120000, "tick_p99_ns": 900000}
+GOOD_FLAT = {"name": "flat_tick_N1024", "wall_ns": 245000,
+             "iterations": 1000, "agents": 1024,
+             "tick_p50_ns": 255000, "tick_p99_ns": 344000,
+             "phase_allocate_p50_ns": 60700,
+             "phase_self_check_p50_ns": 50, "phase_si_p50_ns": 9000,
+             "phase_ef_p50_ns": 108100,
+             "phase_hysteresis_p50_ns": 19600,
+             "phase_publish_p50_ns": 28900,
+             "phase_drift_p50_ns": 20000}
 GOOD_STRATEGY = {"name": "strategy/n64_k1", "wall_ns": 8,
                  "iterations": 500, "agents": 64, "liars": 1,
                  "rounds": 7, "converged": 1,
@@ -49,8 +58,9 @@ class CheckTest(unittest.TestCase):
         pooled = write(self.dir.name, "BENCH_p.json", GOOD_POOLED)
         strategy = write(self.dir.name, "BENCH_s.json",
                          GOOD_STRATEGY)
-        self.assertEqual(ebt.check([path, full, pooled, strategy]),
-                         [])
+        flat = write(self.dir.name, "BENCH_f.json", GOOD_FLAT)
+        self.assertEqual(
+            ebt.check([path, full, pooled, strategy, flat]), [])
 
     def test_array_of_records_passes(self):
         path = write(self.dir.name, "BENCH_arr.json",
@@ -85,6 +95,8 @@ class CheckTest(unittest.TestCase):
             {**GOOD_STRATEGY, "liars": -1},
             {**GOOD_STRATEGY, "utilization_loss": "cheap"},
             {**GOOD_STRATEGY, "honest_si_margin": -1},
+            {**GOOD_FLAT, "phase_ef_p50_ns": -1},
+            {**GOOD_FLAT, "phase_si_p50_ns": "fast"},
         ]
         for record in cases:
             path = write(self.dir.name, "BENCH_t.json", record)
@@ -96,6 +108,11 @@ class CheckTest(unittest.TestCase):
         errors = ebt.check([path])
         self.assertEqual(len(errors), 1)
         self.assertIn("surprise", errors[0])
+        path = write(self.dir.name, "BENCH_u.json",
+                     {**GOOD_FLAT, "phase_sort_p50_ns": 1})
+        errors = ebt.check([path])
+        self.assertEqual(len(errors), 1)
+        self.assertIn("phase_sort_p50_ns", errors[0])
 
     def test_non_json_and_empty_array_fail(self):
         garbled = pathlib.Path(self.dir.name) / "BENCH_g.json"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -31,7 +32,166 @@ requireShapes(const AgentList &agents, const Allocation &allocation)
     }
 }
 
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+/** Row i's elasticities, one per resource. */
+const double *
+alphasOf(const AgentRows &rows, std::size_t i)
+{
+    return rows.elasticities + i * rows.allocation->resources();
+}
+
+/** Row i's log a0. */
+double
+logScaleOf(const AgentRows &rows, std::size_t i)
+{
+    return rows.logScales != nullptr ? rows.logScales[i] : 0.0;
+}
+
+/**
+ * The row-by-row logValue loops throw logValue's error on the lowest
+ * bundle it rejects (each such loop evaluates every bundle, in row
+ * order, before it could throw on a later one): raise exactly that
+ * error. The message depends on the bundle alone.
+ */
+void
+raiseRejected(const AgentRows &rows)
+{
+    const Allocation &allocation = *rows.allocation;
+    const std::size_t bad = rows.logs->firstRejected();
+    if (bad >= allocation.agents())
+        return;
+    CobbDouglasUtility(Vector(allocation.resources(), 1.0))
+        .logValue(allocation.agentShare(bad));
+    REF_PANIC("logValue accepted bundle " << bad);
+}
+
+/** An AgentList's rows: the copies an AgentRows view points into. */
+class ListRows
+{
+  public:
+    ListRows(const AgentList &agents, const Allocation &allocation)
+        : allocation_(&allocation), logs_(allocation)
+    {
+        names_.reserve(agents.size());
+        logScales_.reserve(agents.size());
+        elasticities_.reserve(agents.size() * allocation.resources());
+        for (const Agent &agent : agents) {
+            names_.push_back(agent.name());
+            const Vector &alphas = agent.utility().elasticities();
+            elasticities_.insert(elasticities_.end(), alphas.begin(),
+                                 alphas.end());
+            logScales_.push_back(std::log(agent.utility().scale()));
+        }
+    }
+
+    AgentRows view() const
+    {
+        return {allocation_, &logs_, names_.data(),
+                elasticities_.data(), logScales_.data()};
+    }
+
+  private:
+    const Allocation *allocation_;
+    BundleLogs logs_;
+    std::vector<std::string> names_;
+    std::vector<double> elasticities_;
+    std::vector<double> logScales_;
+};
+
 } // namespace
+
+BundleLogs::BundleLogs(const Allocation &allocation)
+    : resources_(allocation.resources()),
+      logs_(allocation.agents() * resources_, 0.0),
+      worthless_(allocation.agents(), 0),
+      firstRejected_(allocation.agents())
+{
+    for (std::size_t j = allocation.agents(); j-- > 0;) {
+        for (std::size_t r = 0; r < resources_; ++r) {
+            const double amount = allocation.at(j, r);
+            if (!(amount >= 0)) {
+                firstRejected_ = j;
+                break;
+            }
+            if (amount == 0) {
+                worthless_[j] = 1;
+                break;
+            }
+            logs_[j * resources_ + r] = std::log(amount);
+        }
+    }
+}
+
+double
+BundleLogs::value(const double *alphas, double log_scale,
+                  std::size_t j) const
+{
+    if (worthless_[j])
+        return -kInfinity;
+    double total = log_scale;
+    const double *logs = &logs_[j * resources_];
+    for (std::size_t r = 0; r < resources_; ++r)
+        total += alphas[r] * logs[r];
+    return total;
+}
+
+PropertyCheck
+checkSharingIncentives(const AgentRows &rows,
+                       const SystemCapacity &capacity,
+                       const FairnessTolerance &tol)
+{
+    const Allocation &allocation = *rows.allocation;
+    const std::size_t n = allocation.agents();
+    const std::size_t resources = allocation.resources();
+    REF_REQUIRE(n > 0, "no agents to check");
+    REF_REQUIRE(capacity.count() == resources,
+                "capacity/allocation resource mismatch");
+    raiseRejected(rows);
+
+    // log(C_r / N) once. logValue stops at a zero share and returns
+    // -inf, so a zero equal share makes every split worthless.
+    const Vector equal_share = capacity.equalShare(n);
+    std::vector<double> split_logs(resources);
+    bool split_worthless = false;
+    for (std::size_t r = 0; r < resources && !split_worthless; ++r) {
+        split_worthless = equal_share[r] == 0;
+        split_logs[r] = std::log(equal_share[r]);
+    }
+
+    PropertyCheck check;
+    check.worstSlack = kInfinity;
+    check.satisfied = true;
+    std::size_t binding = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *alphas = alphasOf(rows, i);
+        const double log_scale = logScaleOf(rows, i);
+        const double own = rows.logs->value(alphas, log_scale, i);
+        // logValue(C/N): log(a0) + sum_r a_r log(C_r/N), left to
+        // right, as BundleLogs::value sums the own bundle.
+        double split = -kInfinity;
+        if (!split_worthless) {
+            split = log_scale;
+            for (std::size_t r = 0; r < resources; ++r)
+                split += alphas[r] * split_logs[r];
+        }
+        const double slack = own - split;
+        if (slack < check.worstSlack) {
+            check.worstSlack = slack;
+            binding = i;
+        }
+        if (slack < -tol.utility)
+            check.satisfied = false;
+    }
+    if (binding < n) {
+        std::ostringstream detail;
+        detail << "agent '" << rows.names[binding]
+               << "' vs equal split (log-utility slack "
+               << check.worstSlack << ")";
+        check.binding = detail.str();
+    }
+    return check;
+}
 
 PropertyCheck
 checkSharingIncentives(const AgentList &agents,
@@ -42,29 +202,8 @@ checkSharingIncentives(const AgentList &agents,
     requireShapes(agents, allocation);
     REF_REQUIRE(capacity.count() == allocation.resources(),
                 "capacity/allocation resource mismatch");
-
-    const Vector equal_share = capacity.equalShare(agents.size());
-
-    PropertyCheck check;
-    check.worstSlack = std::numeric_limits<double>::infinity();
-    check.satisfied = true;
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-        const auto &utility = agents[i].utility();
-        const double own = utility.logValue(allocation.agentShare(i));
-        const double split = utility.logValue(equal_share);
-        const double slack = own - split;
-        if (slack < check.worstSlack) {
-            check.worstSlack = slack;
-            std::ostringstream detail;
-            detail << "agent '" << agents[i].name()
-                   << "' vs equal split (log-utility slack " << slack
-                   << ")";
-            check.binding = detail.str();
-        }
-        if (slack < -tol.utility)
-            check.satisfied = false;
-    }
-    return check;
+    return checkSharingIncentives(ListRows(agents, allocation).view(),
+                                  capacity, tol);
 }
 
 PropertyCheck
@@ -109,7 +248,6 @@ checkEnvyFreenessPairwise(const AgentList &agents,
 
 namespace {
 
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /** Unit round-off u = 2^-53 of binary64 round-to-nearest. */
 constexpr double kUnitRoundoff = 0x1p-53;
 /**
@@ -119,70 +257,6 @@ constexpr double kUnitRoundoff = 0x1p-53;
  */
 constexpr double kMinFilteredElasticity = 0x1p-600;
 constexpr double kMaxFilteredElasticity = 0x1p600;
-
-/**
- * log x_jr of every bundle, taken once. A bundle holding a zero
- * amount is worth -inf to every agent and keeps no logs, exactly as
- * CobbDouglasUtility::logValue returns before its later resources;
- * a negative (or NaN) amount met first makes logValue throw, and the
- * lowest such bundle is remembered.
- */
-class BundleLogs
-{
-  public:
-    explicit BundleLogs(const Allocation &allocation)
-        : resources_(allocation.resources()),
-          logs_(allocation.agents() * resources_, 0.0),
-          worthless_(allocation.agents(), 0),
-          firstRejected_(allocation.agents())
-    {
-        for (std::size_t j = allocation.agents(); j-- > 0;) {
-            for (std::size_t r = 0; r < resources_; ++r) {
-                const double amount = allocation.at(j, r);
-                if (!(amount >= 0)) {
-                    firstRejected_ = j;
-                    break;
-                }
-                if (amount == 0) {
-                    worthless_[j] = 1;
-                    break;
-                }
-                logs_[j * resources_ + r] = std::log(amount);
-            }
-        }
-    }
-
-    /** Lowest bundle logValue rejects; agents() when none. */
-    std::size_t firstRejected() const { return firstRejected_; }
-
-    double log(std::size_t j, std::size_t r) const
-    {
-        return logs_[j * resources_ + r];
-    }
-
-    /**
-     * log u(x_j) for an agent with these elasticities and log(a0):
-     * logValue's expression, log(a0) + sum_r a_r log x_jr summed
-     * left to right, so the result is bit-identical to it.
-     */
-    double value(const Vector &alphas, double log_scale,
-                 std::size_t j) const
-    {
-        if (worthless_[j])
-            return -kInfinity;
-        double total = log_scale;
-        const double *logs = &logs_[j * resources_];
-        for (std::size_t r = 0; r < resources_; ++r)
-            total += alphas[r] * logs[r];
-        return total;
-    }
-
-  private:
-    std::size_t resources_;
-    std::vector<double> logs_;
-    std::vector<char> worthless_;
-    std::size_t firstRejected_;
-};
 
 /**
  * The pairwise loop's running state, restricted to the rows scanned:
@@ -201,16 +275,16 @@ struct EnvyScan
 
 /** Every pair (i, j), j != i, with the pairwise loop's arithmetic. */
 void
-scanRow(const AgentList &agents, const BundleLogs &logs,
-        const std::vector<double> &own,
-        const std::vector<double> &log_scale, std::size_t i,
-        const FairnessTolerance &tol, EnvyScan &scan)
+scanRow(const AgentRows &rows, const std::vector<double> &own,
+        std::size_t i, const FairnessTolerance &tol, EnvyScan &scan)
 {
-    const Vector &alphas = agents[i].utility().elasticities();
-    for (std::size_t j = 0; j < agents.size(); ++j) {
+    const double *alphas = alphasOf(rows, i);
+    const double log_scale = logScaleOf(rows, i);
+    const std::size_t n = rows.allocation->agents();
+    for (std::size_t j = 0; j < n; ++j) {
         if (j == i)
             continue;
-        const double other = logs.value(alphas, log_scale[i], j);
+        const double other = rows.logs->value(alphas, log_scale, j);
         // Both bundles worthless: no envy either way.
         const double slack = std::isinf(own[i]) && std::isinf(other)
                                  ? 0.0
@@ -374,6 +448,65 @@ hullPass(const std::vector<std::array<double, 2>> &alphas,
     }
 }
 
+/** A bundle's place in the hull passes' (x, y, row) order. */
+struct SortKey
+{
+    double x;
+    double y;
+    std::size_t j;
+};
+
+/** (x, y, row) lexicographically: a total order on the rows. */
+bool
+sortsBefore(const SortKey &a, const SortKey &b)
+{
+    if (a.x != b.x)
+        return a.x < b.x;
+    if (a.y != b.y)
+        return a.y < b.y;
+    return a.j < b.j;
+}
+
+/**
+ * Insertion-sort @p keys, which start in the last check's order
+ * over the same rows. REF moves every log amount of a resource by
+ * the same shift when a few agents update, so only those agents'
+ * keys are out of place, and each moves only as far as it must.
+ * Gives up after N log2 N moves and returns false, the keys still a
+ * permutation of the rows.
+ */
+bool
+insertionSort(std::vector<SortKey> &keys)
+{
+    std::size_t budget = keys.size() * std::bit_width(keys.size());
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+        const SortKey key = keys[i];
+        std::size_t k = i;
+        for (; k > 0 && budget > 0 && sortsBefore(key, keys[k - 1]);
+             --k, --budget)
+            keys[k] = keys[k - 1];
+        keys[k] = key;
+        if (budget == 0)
+            return false;
+    }
+    return true;
+}
+
+/** True when @p order holds each of the rows 0..n-1 once. */
+bool
+isPermutation(const std::vector<std::size_t> &order, std::size_t n)
+{
+    if (order.size() != n)
+        return false;
+    std::vector<char> seen(n, 0);
+    for (const std::size_t j : order) {
+        if (j >= n || seen[j])
+            return false;
+        seen[j] = 1;
+    }
+    return true;
+}
+
 /**
  * The hull filter (R = 2, every amount positive and finite, every
  * elasticity inside the filtered range, N >= 2). For each agent i it
@@ -387,41 +520,39 @@ hullPass(const std::vector<std::array<double, 2>> &alphas,
  * the global minimum.
  */
 std::vector<std::size_t>
-candidateRows(const AgentList &agents, const BundleLogs &logs,
-              const std::vector<double> &own,
-              const std::vector<double> &log_scale)
+candidateRows(const AgentRows &rows, const std::vector<double> &own,
+              std::vector<std::size_t> *hull_order)
 {
-    const std::size_t n = agents.size();
+    const BundleLogs &logs = *rows.logs;
+    const std::size_t n = rows.allocation->agents();
     std::vector<LogPoint> points(n);
     std::vector<std::array<double, 2>> alphas(n);
-    struct SortKey
-    {
-        double x;
-        double y;
-        std::size_t j;
-    };
-    std::vector<SortKey> keys(n);
     double reach0 = 0;
     double reach1 = 0;
     for (std::size_t j = 0; j < n; ++j) {
         points[j] = {logs.log(j, 0), logs.log(j, 1)};
-        const Vector &elasticities = agents[j].utility().elasticities();
+        const double *elasticities = alphasOf(rows, j);
         alphas[j] = {elasticities[0], elasticities[1]};
-        keys[j] = {points[j].x, points[j].y, j};
         reach0 = std::max(reach0, std::abs(points[j].x));
         reach1 = std::max(reach1, std::abs(points[j].y));
     }
-    std::sort(keys.begin(), keys.end(),
-              [](const SortKey &a, const SortKey &b) {
-                  if (a.x != b.x)
-                      return a.x < b.x;
-                  if (a.y != b.y)
-                      return a.y < b.y;
-                  return a.j < b.j;
-              });
+    // The keys start in the last check's order when the caller kept
+    // one; sortsBefore is a total order, so the warm insertion sort
+    // and std::sort reach the same permutation.
+    const bool warm =
+        hull_order != nullptr && isPermutation(*hull_order, n);
+    std::vector<SortKey> keys(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t j = warm ? (*hull_order)[k] : k;
+        keys[k] = {points[j].x, points[j].y, j};
+    }
+    if (!warm || !insertionSort(keys))
+        std::sort(keys.begin(), keys.end(), sortsBefore);
     std::vector<std::size_t> order(n);
     for (std::size_t k = 0; k < n; ++k)
         order[k] = keys[k].j;
+    if (hull_order != nullptr)
+        *hull_order = order;
     std::vector<std::size_t> before(n, kNoRival);
     std::vector<std::size_t> after(n, kNoRival);
     hullPass(alphas, points, order, false, before);
@@ -431,12 +562,13 @@ candidateRows(const AgentList &agents, const BundleLogs &logs,
     std::vector<double> margin(n);
     double global = kInfinity;
     for (std::size_t i = 0; i < n; ++i) {
-        const Vector &elasticities = agents[i].utility().elasticities();
+        const double *elasticities = alphasOf(rows, i);
+        const double log_scale = logScaleOf(rows, i);
         double best = -kInfinity;
         for (const std::size_t j : {before[i], after[i]})
             if (j != kNoRival)
-                best = std::max(
-                    best, logs.value(elasticities, log_scale[i], j));
+                best = std::max(best,
+                                logs.value(elasticities, log_scale, j));
         upper[i] = own[i] - best;
         global = std::min(global, upper[i]);
         // logValue rounds 4 times: |error| <= gamma_3 (|log a0| +
@@ -444,30 +576,31 @@ candidateRows(const AgentList &agents, const BundleLogs &logs,
         // the rounding of this bound itself.
         const double value_error =
             4 * kUnitRoundoff *
-            (std::abs(log_scale[i]) + alphas[i][0] * reach0 +
+            (std::abs(log_scale) + alphas[i][0] * reach0 +
              alphas[i][1] * reach1);
         margin[i] =
             2 * value_error + 4 * kUnitRoundoff * std::abs(upper[i]);
     }
-    std::vector<std::size_t> rows;
+    std::vector<std::size_t> candidates;
     for (std::size_t i = 0; i < n; ++i)
         if (upper[i] - global <= margin[i])
-            rows.push_back(i);
-    return rows;
+            candidates.push_back(i);
+    return candidates;
 }
 
 /** True when the hull filter's error analysis covers the inputs. */
 bool
-filterApplies(const AgentList &agents, const Allocation &allocation)
+filterApplies(const AgentRows &rows)
 {
-    if (allocation.resources() != 2 || agents.size() < 2)
+    const Allocation &allocation = *rows.allocation;
+    if (allocation.resources() != 2 || allocation.agents() < 2)
         return false;
     for (std::size_t j = 0; j < allocation.agents(); ++j) {
         for (std::size_t r = 0; r < 2; ++r) {
             const double amount = allocation.at(j, r);
             if (!(amount > 0) || !std::isfinite(amount))
                 return false;
-            const double alpha = agents[j].utility().elasticity(r);
+            const double alpha = alphasOf(rows, j)[r];
             if (alpha < kMinFilteredElasticity ||
                 alpha > kMaxFilteredElasticity)
                 return false;
@@ -479,36 +612,30 @@ filterApplies(const AgentList &agents, const Allocation &allocation)
 } // namespace
 
 PropertyCheck
-checkEnvyFreeness(const AgentList &agents, const Allocation &allocation,
-                  const FairnessTolerance &tol, EnvyCheckStats *stats)
+checkEnvyFreeness(const AgentRows &rows, const FairnessTolerance &tol,
+                  EnvyCheckStats *stats,
+                  std::vector<std::size_t> *hull_order)
 {
-    requireShapes(agents, allocation);
-
-    const std::size_t n = agents.size();
-    const BundleLogs logs(allocation);
+    const std::size_t n = rows.allocation->agents();
+    REF_REQUIRE(n > 0, "no agents to check");
     // The pairwise loop's first error is logValue's on the lowest
     // bundle it rejects (every bundle is evaluated by row 0 or is
-    // row 0's own): raise exactly that error.
-    if (const std::size_t bad = logs.firstRejected(); bad < n) {
-        agents[bad].utility().logValue(allocation.agentShare(bad));
-        REF_PANIC("logValue accepted bundle " << bad);
-    }
+    // row 0's own).
+    raiseRejected(rows);
     std::vector<double> own(n);
-    std::vector<double> log_scale(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &utility = agents[i].utility();
-        log_scale[i] = std::log(utility.scale());
-        own[i] = logs.value(utility.elasticities(), log_scale[i], i);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        own[i] = rows.logs->value(alphasOf(rows, i), logScaleOf(rows, i),
+                                  i);
 
     EnvyScan scan;
-    if (filterApplies(agents, allocation)) {
-        for (const std::size_t i :
-             candidateRows(agents, logs, own, log_scale))
-            scanRow(agents, logs, own, log_scale, i, tol, scan);
+    if (filterApplies(rows)) {
+        for (const std::size_t i : candidateRows(rows, own, hull_order))
+            scanRow(rows, own, i, tol, scan);
     } else {
+        if (hull_order != nullptr)
+            hull_order->clear();
         for (std::size_t i = 0; i < n; ++i)
-            scanRow(agents, logs, own, log_scale, i, tol, scan);
+            scanRow(rows, own, i, tol, scan);
     }
 
     PropertyCheck check;
@@ -516,14 +643,23 @@ checkEnvyFreeness(const AgentList &agents, const Allocation &allocation,
     check.satisfied = scan.satisfied;
     if (scan.hasBinding) {
         std::ostringstream detail;
-        detail << "agent '" << agents[scan.agent].name()
-               << "' vs bundle of '" << agents[scan.rival].name()
+        detail << "agent '" << rows.names[scan.agent]
+               << "' vs bundle of '" << rows.names[scan.rival]
                << "' (log-utility slack " << scan.worst << ")";
         check.binding = detail.str();
     }
     if (stats != nullptr)
         stats->rowsScanned = scan.rows;
     return check;
+}
+
+PropertyCheck
+checkEnvyFreeness(const AgentList &agents, const Allocation &allocation,
+                  const FairnessTolerance &tol, EnvyCheckStats *stats)
+{
+    requireShapes(agents, allocation);
+    return checkEnvyFreeness(ListRows(agents, allocation).view(), tol,
+                             stats);
 }
 
 PropertyCheck

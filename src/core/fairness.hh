@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "core/agent.hh"
 #include "core/allocation.hh"
@@ -64,9 +65,71 @@ struct FairnessTolerance
 };
 
 /**
- * Check SI for every agent (Eq. 3): each agent weakly prefers its
- * bundle to the equal split C/N.
+ * log x_jr of every bundle of one allocation, taken once and read by
+ * both the SI and the EF check. A bundle holding a zero amount is
+ * worth -inf to every agent and keeps no logs past it, exactly as
+ * CobbDouglasUtility::logValue returns before its later resources; a
+ * negative (or NaN) amount met first makes logValue throw, and the
+ * lowest such bundle is remembered.
  */
+class BundleLogs
+{
+  public:
+    BundleLogs() = default;
+    explicit BundleLogs(const Allocation &allocation);
+
+    /** Lowest bundle logValue rejects; the bundle count when none. */
+    std::size_t firstRejected() const { return firstRejected_; }
+
+    double log(std::size_t j, std::size_t r) const
+    {
+        return logs_[j * resources_ + r];
+    }
+
+    /**
+     * log u(x_j) for an agent with elasticities @p alphas (one per
+     * resource) and log(a0) @p log_scale: logValue's expression,
+     * log(a0) + sum_r a_r log x_jr summed left to right, so the
+     * result is bit-identical to it.
+     */
+    double value(const double *alphas, double log_scale,
+                 std::size_t j) const;
+
+  private:
+    std::size_t resources_ = 0;
+    std::vector<double> logs_;
+    std::vector<char> worthless_;
+    std::size_t firstRejected_ = 0;
+};
+
+/**
+ * One allocation's agents as rows: the input the SI and EF checks
+ * read. Row i's utility is a0_i * prod_r x_r^alpha_ir and its bundle
+ * is allocation row i. Every pointer is borrowed; @p logs must be
+ * the BundleLogs of @p allocation.
+ */
+struct AgentRows
+{
+    const Allocation *allocation = nullptr;
+    const BundleLogs *logs = nullptr;
+    /** Row names, for the binding text. */
+    const std::string *names = nullptr;
+    /** agents x resources elasticities, row-major. */
+    const double *elasticities = nullptr;
+    /** log a0 per row; null when every a0 is 1. */
+    const double *logScales = nullptr;
+};
+
+/**
+ * Check SI for every agent (Eq. 3): each agent weakly prefers its
+ * bundle to the equal split C/N. One multiply-add pass over the
+ * shared logs; log(C_r/N) is taken once.
+ */
+PropertyCheck checkSharingIncentives(
+    const AgentRows &rows, const SystemCapacity &capacity,
+    const FairnessTolerance &tol = {});
+
+/** checkSharingIncentives over an AgentList (builds the rows). */
 PropertyCheck checkSharingIncentives(
     const AgentList &agents, const SystemCapacity &capacity,
     const Allocation &allocation, const FairnessTolerance &tol = {});
@@ -92,7 +155,21 @@ struct EnvyCheckStats
  * O(N log N). Other resource counts, zero or non-finite amounts and
  * N < 2 evaluate every row (see DESIGN.md). A non-null @p stats
  * receives the work done.
+ *
+ * The hull filter sorts the bundles by (log x_j0, log x_j1, j). A
+ * non-null @p hull_order carries that order from one check to the
+ * next over the same rows: when it holds a permutation of the rows
+ * the sort starts from it (an insertion sort with a budget of
+ * N log2 N moves, then std::sort), and it receives this check's
+ * order, or nothing when the filter did not run. The result is the
+ * same either way.
  */
+PropertyCheck checkEnvyFreeness(
+    const AgentRows &rows, const FairnessTolerance &tol = {},
+    EnvyCheckStats *stats = nullptr,
+    std::vector<std::size_t> *hull_order = nullptr);
+
+/** checkEnvyFreeness over an AgentList (builds the rows). */
 PropertyCheck checkEnvyFreeness(
     const AgentList &agents, const Allocation &allocation,
     const FairnessTolerance &tol = {}, EnvyCheckStats *stats = nullptr);

@@ -420,49 +420,80 @@ PoolTree::denseOrder() const
     return order;
 }
 
-core::Allocation
-PoolTree::allocateDense(std::vector<std::string> *names,
-                        core::AgentList *agents) const
+core::AgentList
+DenseRows::agentList() const
 {
-    std::vector<double> denominators(capacity_.count());
+    const std::size_t resources = allocation.resources();
+    core::AgentList agents;
+    agents.reserve(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const double *alphas = &elasticities[i * resources];
+        agents.emplace_back(names[i],
+                            core::CobbDouglasUtility(linalg::Vector(
+                                alphas, alphas + resources)));
+    }
+    return agents;
+}
+
+std::vector<double>
+PoolTree::denominators() const
+{
+    std::vector<double> sums(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r)
-        denominators[r] = denominator(r);
-    return allocateWith(denominators, names, agents);
+        sums[r] = denominator(r);
+    return sums;
+}
+
+core::Allocation
+PoolTree::allocateDense() const
+{
+    return allocateWith(denominators());
+}
+
+void
+PoolTree::allocateDense(DenseRows &rows) const
+{
+    rows.allocation = allocateWith(denominators(), &rows);
+    rows.logs = core::BundleLogs(rows.allocation);
 }
 
 core::Allocation
 PoolTree::allocateWith(const std::vector<double> &denominators,
-                       std::vector<std::string> *names,
-                       core::AgentList *agents) const
+                       DenseRows *rows) const
 {
     REF_REQUIRE(!empty(), "no agents to allocate to");
-    for (std::size_t r = 0; r < capacity_.count(); ++r)
+    const std::size_t resources = capacity_.count();
+    for (std::size_t r = 0; r < resources; ++r)
         REF_ASSERT(denominators[r] > 0,
                    "effective claims sum to zero for resource " << r);
-    const std::vector<const PooledAgent *> order = denseOrder();
-    core::Allocation allocation(order.size(), capacity_.count());
-    if (names != nullptr) {
-        names->clear();
-        names->reserve(order.size());
+    core::Allocation allocation(agentCount_, resources);
+    if (rows != nullptr) {
+        rows->names.clear();
+        rows->names.reserve(agentCount_);
+        rows->seqs.clear();
+        rows->seqs.reserve(agentCount_);
+        rows->elasticities.clear();
+        rows->elasticities.reserve(agentCount_ * resources);
     }
-    if (agents != nullptr) {
-        agents->clear();
-        agents->reserve(order.size());
-    }
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        const PooledAgent &entry = *order[i];
+    std::size_t i = 0;
+    for (const auto &[seq, slot] : order_) {
+        if (slot == nullptr)
+            continue;
+        const PooledAgent &entry = *slot;
         // The closed form's own expression, applied to the same
         // doubles: with unit gains the exact denominators make this
         // bit-identical to ProportionalElasticityMechanism.
-        for (std::size_t r = 0; r < capacity_.count(); ++r)
+        for (std::size_t r = 0; r < resources; ++r)
             allocation.at(i, r) = entry.effective[r] / denominators[r] *
                                   capacity_.capacity(r);
-        if (names != nullptr)
-            names->push_back(entry.name);
-        if (agents != nullptr)
-            agents->emplace_back(
-                entry.name,
-                core::CobbDouglasUtility(entry.elasticities));
+        if (rows != nullptr) {
+            rows->names.push_back(entry.name);
+            rows->seqs.push_back(seq);
+            rows->elasticities.insert(rows->elasticities.end(),
+                                      entry.elasticities.begin(),
+                                      entry.elasticities.end());
+        }
+        ++i;
     }
     return allocation;
 }

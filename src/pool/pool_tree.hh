@@ -46,6 +46,7 @@
 
 #include "core/agent.hh"
 #include "core/allocation.hh"
+#include "core/fairness.hh"
 #include "core/resource.hh"
 #include "util/exact_sum.hh"
 
@@ -75,6 +76,33 @@ struct PooledAgent
     std::uint64_t seq = 0;
     /** Node id of the owning pool. */
     std::uint32_t pool = 0;
+};
+
+/**
+ * One dense epoch: every live agent as one row, in admission order,
+ * with everything the SI and EF checks read, so they share one log
+ * table instead of re-deriving it per row.
+ */
+struct DenseRows
+{
+    core::Allocation allocation;
+    std::vector<std::string> names;
+    /** Admission sequence numbers, strictly ascending. */
+    std::vector<std::uint64_t> seqs;
+    /** N x R reported elasticities, row-major. */
+    std::vector<double> elasticities;
+    /** log x_ir of every allocated amount. */
+    core::BundleLogs logs;
+
+    /** The rows as the fairness checks read them (every a0 is 1). */
+    core::AgentRows view() const
+    {
+        return {&allocation, &logs, names.data(), elasticities.data(),
+                nullptr};
+    }
+
+    /** The rows as agents, for the from-scratch mechanism. */
+    core::AgentList agentList() const;
 };
 
 /** Read-only view of one pool for snapshots, metrics and QUERY. */
@@ -202,13 +230,18 @@ class PoolTree
 
     /**
      * Dense N x R allocation over all live agents in admission
-     * order, with the matching names and, when asked, the matching
-     * core::AgentList — all from one O(N) pass. Flat epochs,
-     * property checks and small-population use only. @pre !empty().
+     * order. Small-population and test use. @pre !empty().
      */
-    core::Allocation allocateDense(
-        std::vector<std::string> *names = nullptr,
-        core::AgentList *agents = nullptr) const;
+    core::Allocation allocateDense() const;
+
+    /**
+     * The dense epoch record: the allocation above plus each row's
+     * name, seq and reported elasticities from the same O(N) walk,
+     * then one log x_ir per amount. Flat epochs and the pooled
+     * property checks read it; it holds no AgentList (see
+     * DenseRows::agentList). @pre !empty().
+     */
+    void allocateDense(DenseRows &rows) const;
 
     /**
      * The tree-wide bit-identity invariant, checked three ways per
@@ -267,11 +300,16 @@ class PoolTree
                         const linalg::Vector &effective, int direction);
     linalg::Vector effectiveFor(const linalg::Vector &rescaled,
                                 std::uint32_t pool) const;
-    /** allocateDense() over the given per-resource denominators. */
+    /** The root denominators D[r]. */
+    std::vector<double> denominators() const;
+    /**
+     * allocateDense() over the given per-resource denominators; a
+     * non-null @p rows also receives the names, seqs and
+     * elasticities (not the allocation or the logs).
+     */
     core::Allocation allocateWith(
         const std::vector<double> &denominators,
-        std::vector<std::string> *names = nullptr,
-        core::AgentList *agents = nullptr) const;
+        DenseRows *rows = nullptr) const;
 
     core::SystemCapacity capacity_;
     std::vector<Node> nodes_;  //!< Creation order; nodes_[0] is "/".

@@ -100,8 +100,12 @@ AllocationService::tick()
     const auto previous = snapshot();
     EpochResult result = driver_.tick();
     metrics_.recordEpoch(result);
+    const auto start = std::chrono::steady_clock::now();
     publishEpochLocked(result);
+    const auto published = std::chrono::steady_clock::now();
     recordFairnessLocked(*previous, result);
+    result.phases.publish = published - start;
+    result.phases.drift = std::chrono::steady_clock::now() - published;
     JournalRecord record;
     record.type = JournalRecord::Type::Tick;
     record.epoch = result.epoch;
@@ -243,33 +247,72 @@ bundleMass(const core::Allocation &allocation, std::size_t row)
  * L1 distance between two epochs' allocations over the union of
  * their agents; an agent present in only one epoch contributes its
  * whole bundle (it went from something to nothing or vice versa).
+ *
+ * Rows are matched by admission seq first: both sides list them in
+ * ascending seq, so that is one merge. Only rows the merge leaves
+ * unmatched on both sides are then matched by name (the first old
+ * row wins, as a front-to-back scan would): a DEPART and re-ADMIT of
+ * one name within the epoch keeps the name but not the seq, and a
+ * snapshot restored from disk has no seqs at all. Equal seqs are
+ * the same admission and so the same name, which makes the matching
+ * the name scan's. The sums keep the row order, so the drift is the
+ * same double whatever matched the rows.
  */
 double
-allocationDrift(const std::vector<std::string> &old_names,
-                const core::Allocation &old_alloc,
-                const std::vector<std::string> &new_names,
-                const core::Allocation &new_alloc)
+allocationDrift(const ServiceSnapshot &previous,
+                const EpochResult &current)
 {
-    // Old rows by name (the first row wins, as a front-to-back scan
-    // would); the sums below keep the row order, so the drift is the
-    // same double whatever the lookup.
-    std::unordered_map<std::string_view, std::size_t> old_rows;
-    old_rows.reserve(old_names.size());
-    for (std::size_t j = 0; j < old_names.size(); ++j)
-        old_rows.emplace(old_names[j], j);
+    constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
+    const std::vector<std::string> &old_names = previous.agents;
+    const std::vector<std::string> &new_names = current.agentNames;
+    const core::Allocation &old_alloc = previous.allocation;
+    const core::Allocation &new_alloc = current.allocation;
 
+    std::vector<std::size_t> old_row(new_names.size(), kUnmatched);
+    std::vector<char> matched(old_names.size(), 0);
+    std::size_t pairs = 0;
+    const std::vector<std::uint64_t> &old_seqs = previous.seqs;
+    const std::vector<std::uint64_t> &new_seqs = current.agentSeqs;
+    if (old_seqs.size() == old_names.size() &&
+        new_seqs.size() == new_names.size()) {
+        std::size_t j = 0;
+        for (std::size_t i = 0; i < new_seqs.size(); ++i) {
+            while (j < old_seqs.size() && old_seqs[j] < new_seqs[i])
+                ++j;
+            if (j < old_seqs.size() && old_seqs[j] == new_seqs[i]) {
+                old_row[i] = j;
+                matched[j] = 1;
+                ++pairs;
+                ++j;
+            }
+        }
+    }
+    if (pairs < new_names.size() && pairs < old_names.size()) {
+        std::unordered_map<std::string_view, std::size_t> old_rows;
+        old_rows.reserve(old_names.size() - pairs);
+        for (std::size_t j = 0; j < old_names.size(); ++j)
+            if (!matched[j])
+                old_rows.emplace(old_names[j], j);
+        for (std::size_t i = 0; i < new_names.size(); ++i) {
+            if (old_row[i] != kUnmatched)
+                continue;
+            const auto found = old_rows.find(new_names[i]);
+            if (found != old_rows.end()) {
+                old_row[i] = found->second;
+                matched[found->second] = 1;
+            }
+        }
+    }
+
+    const std::size_t resources =
+        std::min(old_alloc.resources(), new_alloc.resources());
     double drift = 0;
-    std::vector<bool> matched(old_names.size(), false);
     for (std::size_t i = 0; i < new_names.size(); ++i) {
-        const auto found = old_rows.find(new_names[i]);
-        if (found == old_rows.end()) {
+        const std::size_t j = old_row[i];
+        if (j == kUnmatched) {
             drift += bundleMass(new_alloc, i);
             continue;
         }
-        const std::size_t j = found->second;
-        matched[j] = true;
-        const std::size_t resources =
-            std::min(old_alloc.resources(), new_alloc.resources());
         for (std::size_t r = 0; r < resources; ++r)
             drift +=
                 std::abs(new_alloc.at(i, r) - old_alloc.at(j, r));
@@ -373,9 +416,7 @@ AllocationService::recordFairnessLocked(
             std::exp(result.sharingIncentives.worstSlack);
         sample.efMargin = std::exp(result.envyFreeness.worstSlack);
     }
-    sample.l1Drift = allocationDrift(
-        previous.agents, previous.allocation, result.agentNames,
-        result.allocation);
+    sample.l1Drift = allocationDrift(previous, result);
     sample.enforced = result.enforcementChanged;
     sample.maxRelativeChange = result.maxRelativeChange;
     sample.latencyNs = static_cast<std::uint64_t>(
@@ -471,6 +512,7 @@ AllocationService::publishEpochLocked(const EpochResult &result)
     auto next = std::make_shared<ServiceSnapshot>();
     next->epoch = result.epoch;
     next->agents = result.agentNames;
+    next->seqs = result.agentSeqs;
     next->allocation = result.allocation;
     next->propertiesChecked = result.propertiesChecked;
     next->sharingIncentives = result.sharingIncentives;

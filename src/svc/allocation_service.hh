@@ -76,6 +76,9 @@ struct ServiceSnapshot
 {
     std::uint64_t epoch = 0;
     std::vector<std::string> agents;  //!< Allocation-row order.
+    /** Admission seq of each row. Empty in a snapshot restored from
+     *  disk: seqs do not outlive the process that assigned them. */
+    std::vector<std::uint64_t> seqs;
     core::Allocation allocation;
     /** Enforcement artifacts of the last *enforced* epoch (carried
      *  forward unchanged across hysteresis holds). */

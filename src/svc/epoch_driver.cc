@@ -64,7 +64,17 @@ EpochDriver::EpochDriver(pool::PoolTree &tree, EpochConfig config,
 EpochResult
 EpochDriver::tick()
 {
-    const auto start = std::chrono::steady_clock::now();
+    using Clock = std::chrono::steady_clock;
+    const auto start = Clock::now();
+    auto mark = start;
+    // Time since the last lap (or the start).
+    const auto lap = [&mark] {
+        const auto now = Clock::now();
+        const auto elapsed = now - mark;
+        mark = now;
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(
+            elapsed);
+    };
 
     EpochResult result;
     result.epoch = ++epoch_;
@@ -75,65 +85,83 @@ EpochDriver::tick()
 
     if (config_.verifyIncremental)
         result.incrementalMatchesScratch = tree_->selfCheck();
+    result.phases.selfCheck = lap();
 
-    // The dense stage: one admission-order pass yields the
-    // allocation, its row names and the agent list. Flat epochs
-    // always need it (they publish it); pooled epochs build it only
-    // for the property checks, and only while the population is
-    // small and the tree is unweighted — exactly the regime where
-    // the flat-REF SI/EF guarantees are the ones being promised.
+    // The dense stage: one admission-order pass yields the rows that
+    // the allocation, both property checks, hysteresis and drift all
+    // read. Flat epochs always need it (they publish it); pooled
+    // epochs build it only for the property checks, and only while
+    // the population is small and the tree is unweighted — exactly
+    // the regime where the flat-REF SI/EF guarantees are the ones
+    // being promised.
     const bool checkPooled = config_.checkProperties &&
                              tree_->size() <= kPooledPropertyCheckCap &&
                              tree_->allUnitGains();
     if (!tree_->empty() && (!pooled_ || checkPooled)) {
-        core::AgentList agents;
-        const bool needAgents =
-            config_.checkProperties || config_.verifyIncremental;
-        core::Allocation allocation = tree_->allocateDense(
-            pooled_ ? nullptr : &result.agentNames,
-            needAgents ? &agents : nullptr);
+        pool::DenseRows rows;
+        tree_->allocateDense(rows);
+        result.phases.allocate = lap();
 
         if (config_.verifyIncremental && !pooled_) {
             result.incrementalMatchesScratch =
                 result.incrementalMatchesScratch &&
-                bitIdentical(allocation,
+                bitIdentical(rows.allocation,
                              core::ProportionalElasticityMechanism()
-                                 .allocate(agents, tree_->capacity()));
+                                 .allocate(rows.agentList(),
+                                           tree_->capacity()));
+            result.phases.selfCheck += lap();
         }
 
         if (config_.checkProperties) {
             result.sharingIncentives = core::checkSharingIncentives(
-                agents, tree_->capacity(), allocation,
-                config_.tolerance);
+                rows.view(), tree_->capacity(), config_.tolerance);
+            result.phases.sharingIncentives = lap();
+            // Other rows than last epoch's: start the sort cold.
+            if (rows.seqs != hullSeqs_) {
+                hullOrder_.clear();
+                hullSeqs_ = rows.seqs;
+            }
             result.envyFreeness = core::checkEnvyFreeness(
-                agents, allocation, config_.tolerance,
-                &result.envyWork);
+                rows.view(), config_.tolerance, &result.envyWork,
+                &hullOrder_);
+            result.phases.envyFreeness = lap();
             result.propertiesChecked = true;
         }
 
-        if (!pooled_)
-            result.allocation = std::move(allocation);
+        if (!pooled_) {
+            result.agentNames = std::move(rows.names);
+            result.agentSeqs = std::move(rows.seqs);
+            result.allocation = std::move(rows.allocation);
+        }
     }
 
     // Pooled epochs publish no dense allocation and no enforcement
     // plan: they always "hold" and enforcement stays at pool
     // granularity (out of scope for the dense bridge).
-    if (!pooled_)
+    if (!pooled_) {
         applyHysteresis(result);
+        result.phases.hysteresis = lap();
+    }
 
-    result.latency = std::chrono::steady_clock::now() - start;
+    result.latency = Clock::now() - start;
     return result;
 }
 
 void
 EpochDriver::applyHysteresis(EpochResult &result)
 {
+    bool sameSeqs = false;
     if (result.agentNames.empty()) {
         // Idle system: publish the empty allocation and drop any
         // stale enforcement.
         result.enforcementChanged = !enforcedNames_.empty();
     } else {
-        const bool sameAgents = result.agentNames == enforcedNames_;
+        // Equal seqs are the same admissions, hence the same names.
+        // Other seqs (a DEPART and re-ADMIT of one name, or a
+        // baseline restored without seqs) fall back to the names.
+        sameSeqs = result.agentSeqs == enforcedSeqs_;
+        const bool sameAgents =
+            sameSeqs || result.agentNames == enforcedNames_;
         result.maxRelativeChange =
             sameAgents ? maxRelativeChange(result.allocation, enforced_)
                        : std::numeric_limits<double>::infinity();
@@ -142,7 +170,10 @@ EpochDriver::applyHysteresis(EpochResult &result)
     }
     if (result.enforcementChanged) {
         enforced_ = result.allocation;
-        enforcedNames_ = result.agentNames;
+        if (!sameSeqs) {
+            enforcedNames_ = result.agentNames;
+            enforcedSeqs_ = result.agentSeqs;
+        }
         lastEnforcedEpoch_ = epoch_;
     }
 }
@@ -161,6 +192,7 @@ EpochDriver::restore(std::uint64_t epoch,
     lastEnforcedEpoch_ = last_enforced_epoch;
     enforced_ = std::move(enforced);
     enforcedNames_ = std::move(enforced_names);
+    enforcedSeqs_.clear();
 }
 
 } // namespace ref::svc

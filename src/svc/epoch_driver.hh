@@ -5,12 +5,20 @@
  * REF's closed form is cheap enough to rerun every scheduling epoch
  * (the paper's strategy-proofness-in-the-large argument assumes
  * exactly this dynamic setting). The driver owns the monotonic epoch
- * counter: each tick() computes the current REF allocation from the
- * pool tree's incremental state, optionally verifies it against a
- * from-scratch recompute, runs the SI/EF property checks, and — in
- * flat mode — decides via a configurable hysteresis threshold whether
- * the change is large enough to justify re-programming enforcement
- * (way partitions and WFQ weights are not free to install).
+ * counter: each tick() builds the epoch's dense rows once from the
+ * pool tree's incremental state (allocation, names, admission seqs,
+ * elasticities and one log table; see pool::DenseRows), optionally
+ * verifies them against a from-scratch recompute, runs the SI/EF
+ * property checks over those same rows, and — in flat mode — decides
+ * via a configurable hysteresis threshold whether the change is large
+ * enough to justify re-programming enforcement (way partitions and
+ * WFQ weights are not free to install).
+ *
+ * Across epochs the driver keeps two things keyed by admission seq:
+ * the enforced rows' seqs, so hysteresis compares names only when
+ * the seqs differ, and the EF check's hull order, from which the
+ * next check over the same seqs starts its sort. Each tick records
+ * the wall time of its phases in EpochResult::phases.
  */
 
 #ifndef REF_SVC_EPOCH_DRIVER_HH
@@ -28,7 +36,7 @@ namespace ref::svc {
 
 /**
  * Pooled ticks skip the SI/EF property checks above this population
- * (the checks read a dense N x R allocation and agent list, and
+ * (the checks read the dense rows of every live agent, and
  * materializing them is exactly the full-population cost pooled mode
  * exists to avoid) and when any pool carries a non-unit weight
  * (weighted trees intentionally favour heavy pools, so the flat
@@ -60,6 +68,29 @@ struct EpochConfig
     core::FairnessTolerance tolerance{1e-6, 1e-6, 1e-9};
 };
 
+/** Where one tick's wall time went, phase by phase. */
+struct TickPhases
+{
+    /** @name Filled by EpochDriver::tick(). */
+    ///@{
+    /** The dense rows: allocation, names, seqs and logs. */
+    std::chrono::nanoseconds allocate{0};
+    /** verifyIncremental's tree self-check and scratch compare. */
+    std::chrono::nanoseconds selfCheck{0};
+    std::chrono::nanoseconds sharingIncentives{0};
+    std::chrono::nanoseconds envyFreeness{0};
+    std::chrono::nanoseconds hysteresis{0};
+    ///@}
+    /** @name Filled by AllocationService::tick(). */
+    ///@{
+    /** Drift against the last snapshot and the fairness-series
+     *  append. */
+    std::chrono::nanoseconds drift{0};
+    /** Snapshot publish, enforcement plan included. */
+    std::chrono::nanoseconds publish{0};
+    ///@}
+};
+
 /** Outcome of one epoch tick. */
 struct EpochResult
 {
@@ -75,6 +106,9 @@ struct EpochResult
     /** Live agents this epoch, admission order (allocation rows).
      *  Empty on pooled ticks. */
     std::vector<std::string> agentNames;
+    /** Admission seq of each agentNames row, ascending. Empty on
+     *  pooled ticks. */
+    std::vector<std::uint64_t> agentSeqs;
     /** The epoch's allocation (empty when no agents are live and on
      *  pooled ticks, which never publish the dense matrix). */
     core::Allocation allocation;
@@ -94,6 +128,7 @@ struct EpochResult
     bool propertiesChecked = false;
     /** Wall time spent computing this tick. */
     std::chrono::nanoseconds latency{0};
+    TickPhases phases;
 };
 
 /** Monotonic epoch clock driving per-epoch reallocation. */
@@ -157,6 +192,17 @@ class EpochDriver
     std::uint64_t lastEnforcedEpoch_ = 0;
     core::Allocation enforced_;
     std::vector<std::string> enforcedNames_;
+    /**
+     * Seqs of enforcedNames_ when known. Equal seqs are the same
+     * admissions and so the same names; empty after restore(),
+     * since seqs do not outlive the process that assigned them.
+     */
+    std::vector<std::uint64_t> enforcedSeqs_;
+    /** The EF check's hull order of the last checked epoch, and the
+     *  seqs of its rows: the next check over the same seqs starts
+     *  its sort from that order. */
+    std::vector<std::size_t> hullOrder_;
+    std::vector<std::uint64_t> hullSeqs_;
 };
 
 } // namespace ref::svc

@@ -5,6 +5,7 @@
  * populations, on arbitrary allocations and on degenerate corners.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <random>
@@ -262,6 +263,125 @@ TEST(EnvyFreenessFast, OtherResourceCountsScanEveryRow)
             agents, refAllocation(agents, resources));
         EXPECT_EQ(stats.rowsScanned, 50u);
     }
+}
+
+/** REF over @p alphas (N x 2, row-major), with the rows' logs. */
+struct RefRows
+{
+    std::vector<std::string> names;
+    std::vector<double> alphas;
+    Allocation allocation;
+    BundleLogs logs;
+
+    explicit RefRows(const std::vector<double> &elasticities)
+        : alphas(elasticities)
+    {
+        AgentList agents;
+        for (std::size_t i = 0; i < alphas.size() / 2; ++i) {
+            names.push_back("a" + std::to_string(i));
+            agents.emplace_back(
+                names.back(),
+                CobbDouglasUtility({alphas[2 * i], alphas[2 * i + 1]}));
+        }
+        allocation = refAllocation(agents, 2);
+        logs = BundleLogs(allocation);
+    }
+
+    AgentRows view() const
+    {
+        return {&allocation, &logs, names.data(), alphas.data(),
+                nullptr};
+    }
+};
+
+TEST(EnvyFreenessFast, WarmStartedSortMatchesColdUnderChurn)
+{
+    // Each step updates a few agents, so the last order is nearly
+    // sorted and the insertion sort finishes within its budget. Step
+    // 20 redraws every agent: about N^2 / 4 keys are out of place,
+    // far past the N log2 N budget, so the sort falls back to
+    // std::sort midway. Warm and cold checks must agree throughout.
+    const std::size_t n = 1024;
+    std::mt19937 rng(2026);
+    std::uniform_real_distribution<double> draw(0.05, 0.95);
+    const auto elasticity = [&] {
+        return std::round(draw(rng) * 1e4) / 1e4;
+    };
+    std::vector<double> alphas(2 * n);
+    for (double &alpha : alphas)
+        alpha = elasticity();
+    std::vector<std::size_t> warm_order;
+    for (int step = 0; step < 40; ++step) {
+        const std::size_t updates = step == 20 ? n : 1 + rng() % 16;
+        for (std::size_t u = 0; u < updates; ++u) {
+            const std::size_t i = updates == n ? u : rng() % n;
+            alphas[2 * i] = elasticity();
+            alphas[2 * i + 1] = elasticity();
+        }
+        const RefRows rows(alphas);
+        EnvyCheckStats warm_stats;
+        EnvyCheckStats cold_stats;
+        std::vector<std::size_t> cold_order;
+        const PropertyCheck warm = checkEnvyFreeness(
+            rows.view(), {}, &warm_stats, &warm_order);
+        const PropertyCheck cold = checkEnvyFreeness(
+            rows.view(), {}, &cold_stats, &cold_order);
+        expectSameCheck(warm, cold);
+        EXPECT_EQ(warm_stats.rowsScanned, cold_stats.rowsScanned)
+            << "step " << step;
+        EXPECT_EQ(warm_order, cold_order) << "step " << step;
+        ASSERT_EQ(warm_order.size(), n);
+        if (::testing::Test::HasFailure()) {
+            ADD_FAILURE() << "step " << step;
+            return;
+        }
+    }
+}
+
+TEST(EnvyFreenessFast, UnusableHullOrderStartsCold)
+{
+    const AgentList agents = randomAgents(40, 2, 31);
+    std::vector<double> alphas;
+    for (const Agent &agent : agents)
+        for (const double alpha : agent.utility().elasticities())
+            alphas.push_back(alpha);
+    const RefRows rows(alphas);
+    const PropertyCheck oracle =
+        checkEnvyFreenessPairwise(agents, rows.allocation);
+    // Another population's order, a repeated row, an unknown row:
+    // none is a permutation of these rows, so the sort runs cold.
+    std::vector<std::size_t> shorter(39);
+    std::vector<std::size_t> repeated(40, 3);
+    std::vector<std::size_t> unknown(40);
+    for (std::size_t k = 0; k < 40; ++k)
+        unknown[k] = k + 1;
+    for (std::vector<std::size_t> *order :
+         {&shorter, &repeated, &unknown}) {
+        expectSameCheck(checkEnvyFreeness(rows.view(), {}, nullptr, order),
+                        oracle);
+        ASSERT_EQ(order->size(), 40u);
+        std::vector<std::size_t> sorted = *order;
+        std::sort(sorted.begin(), sorted.end());
+        for (std::size_t k = 0; k < 40; ++k)
+            EXPECT_EQ(sorted[k], k);
+    }
+
+    // Three resources never run the hull filter: no order comes back.
+    std::vector<std::size_t> order(40);
+    const AgentList wide = randomAgents(40, 3, 32);
+    std::vector<std::string> names;
+    std::vector<double> wide_alphas;
+    for (const Agent &agent : wide) {
+        names.push_back(agent.name());
+        for (const double alpha : agent.utility().elasticities())
+            wide_alphas.push_back(alpha);
+    }
+    const Allocation allocation = refAllocation(wide, 3);
+    const BundleLogs logs(allocation);
+    checkEnvyFreeness(AgentRows{&allocation, &logs, names.data(),
+                                wide_alphas.data(), nullptr},
+                      {}, nullptr, &order);
+    EXPECT_TRUE(order.empty());
 }
 
 TEST(EnvyFreenessFast, NegativeShareThrowsTheSameError)

@@ -161,20 +161,23 @@ TEST(AgentRegistry, IncrementalIsBitIdenticalToScratch)
     tree.admit("d", {0.9, 0.1});
     tree.update("c", {0.33, 0.67});
 
-    // The agent list rides the same admission-order walk as the
-    // allocation's rows.
-    std::vector<std::string> names;
-    core::AgentList agents;
-    const auto incremental = tree.allocateDense(&names, &agents);
+    // Names, seqs and elasticities ride the same admission-order
+    // walk as the allocation's rows.
+    pool::DenseRows rows;
+    tree.allocateDense(rows);
+    const std::vector<std::string> &names = rows.names;
     EXPECT_EQ(names, (std::vector<std::string>{"a", "c", "d"}));
+    EXPECT_EQ(rows.seqs, (std::vector<std::uint64_t>{0, 2, 3}));
+    const core::AgentList agents = rows.agentList();
     ASSERT_EQ(agents.size(), names.size());
     for (std::size_t i = 0; i < names.size(); ++i)
         EXPECT_EQ(agents[i].name(), names[i]);
     // Exact double equality on purpose: the incremental path must
     // not drift from the from-scratch mechanism.
     expectBitwiseEqual(
-        incremental, core::ProportionalElasticityMechanism().allocate(
-                         agents, tree.capacity()));
+        rows.allocation,
+        core::ProportionalElasticityMechanism().allocate(
+            agents, tree.capacity()));
 }
 
 TEST(AgentRegistry, DepartPreservesAdmissionOrder)
@@ -185,9 +188,9 @@ TEST(AgentRegistry, DepartPreservesAdmissionOrder)
     tree.admit("c", {0.5, 0.5});
     tree.depart("b");
     ASSERT_EQ(tree.size(), 2u);
-    std::vector<std::string> names;
-    tree.allocateDense(&names);
-    EXPECT_EQ(names, (std::vector<std::string>{"a", "c"}));
+    pool::DenseRows rows;
+    tree.allocateDense(rows);
+    EXPECT_EQ(rows.names, (std::vector<std::string>{"a", "c"}));
     EXPECT_FALSE(tree.contains("b"));
 }
 
@@ -322,12 +325,13 @@ churnAndVerify(std::size_t shards, std::uint32_t seed)
 
     // The pooled dense allocation equals the flat closed form over
     // the same agents, bit for bit.
-    std::vector<std::string> names;
-    core::AgentList agents;
-    const core::Allocation pooled = tree.allocateDense(&names, &agents);
+    pool::DenseRows rows;
+    tree.allocateDense(rows);
+    const std::vector<std::string> &names = rows.names;
+    const core::Allocation &pooled = rows.allocation;
     const core::Allocation flat =
         core::ProportionalElasticityMechanism().allocate(
-            agents, tree.capacity());
+            rows.agentList(), tree.capacity());
     expectBitwiseEqual(pooled, flat);
 
     // And every lazily computed per-agent share is the dense row.
@@ -358,17 +362,18 @@ TEST(PoolTree, DenseOrderIsAdmissionOrderAcrossReadmission)
     tree.admit("c", {0.5, 0.5});
     tree.admit("b", {0.6, 0.4});
     tree.admit("a", {0.7, 0.3});
-    std::vector<std::string> names;
-    tree.allocateDense(&names);
+    pool::DenseRows rows;
+    const std::vector<std::string> &names = rows.names;
+    tree.allocateDense(rows);
     EXPECT_EQ(names, (std::vector<std::string>{"c", "b", "a"}));
 
     tree.depart("b");
     EXPECT_FALSE(tree.contains("b"));
-    tree.allocateDense(&names);
+    tree.allocateDense(rows);
     EXPECT_EQ(names, (std::vector<std::string>{"c", "a"}));
 
     tree.admit("b", {0.6, 0.4});
-    tree.allocateDense(&names);
+    tree.allocateDense(rows);
     EXPECT_EQ(names, (std::vector<std::string>{"c", "a", "b"}));
 
     // Enough departures to compact the order index, interleaved with
@@ -385,7 +390,7 @@ TEST(PoolTree, DenseOrderIsAdmissionOrderAcrossReadmission)
     }
     tree.depart("n5");
     expected.erase(std::find(expected.begin(), expected.end(), "n5"));
-    tree.allocateDense(&names);
+    tree.allocateDense(rows);
     EXPECT_EQ(names, expected);
     EXPECT_EQ(tree.size(), expected.size());
 }

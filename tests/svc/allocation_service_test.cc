@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -159,6 +161,136 @@ TEST(AllocationService, DriftMatchesQuadraticReferenceUnderChurn)
             << "epoch " << after->epoch << ": " << actual << " vs "
             << expected;
     }
+}
+
+/**
+ * Hysteresis as it was decided before seqs: the enforced rows are
+ * compared by name, and a same-name epoch by relative share change.
+ */
+class NameHysteresis
+{
+  public:
+    explicit NameHysteresis(double threshold) : threshold_(threshold) {}
+
+    /** Whether an epoch publishing @p names / @p allocation would
+     *  re-enforce, updating the baseline when it does. */
+    bool enforce(const std::vector<std::string> &names,
+                 const core::Allocation &allocation)
+    {
+        bool changed;
+        if (names.empty()) {
+            changed = !names_.empty();
+        } else if (names != names_) {
+            changed = true;
+        } else {
+            double worst = 0;
+            for (std::size_t i = 0; i < allocation.agents(); ++i) {
+                for (std::size_t r = 0; r < allocation.resources(); ++r) {
+                    const double before = enforced_.at(i, r);
+                    const double after = allocation.at(i, r);
+                    const double scale =
+                        std::max(std::abs(before), std::abs(after));
+                    if (scale != 0)
+                        worst = std::max(
+                            worst, std::abs(after - before) / scale);
+                }
+            }
+            changed = worst > threshold_;
+        }
+        if (changed) {
+            names_ = names;
+            enforced_ = allocation;
+        }
+        return changed;
+    }
+
+  private:
+    double threshold_;
+    std::vector<std::string> names_;
+    core::Allocation enforced_;
+};
+
+TEST(AllocationService, SeqKeyedDriftAndHysteresisMatchNamesThroughRestore)
+{
+    // Admits, departs, updates, and a DEPART plus re-ADMIT of one name
+    // inside an epoch (same name, new seq); halfway, the service is
+    // stopped and restarted twice from its journal, so the first
+    // epoch after the second start compares against a snapshot and
+    // an enforced baseline restored from disk, which carry no seqs.
+    const std::string dir =
+        testing::TempDir() + "ref_seq_drift_test_journal";
+    std::filesystem::remove_all(dir);
+    ServiceConfig config;
+    config.epoch.hysteresis = 0.02;
+    config.journal.directory = dir;
+    auto service = std::make_unique<AllocationService>(config);
+    NameHysteresis model(config.epoch.hysteresis);
+
+    std::mt19937 rng(4242);
+    std::uniform_real_distribution<double> elasticity(0.05, 1.0);
+    std::vector<std::string> live;
+    std::uint64_t next = 0;
+    std::size_t readmits = 0;
+    std::size_t holds = 0;
+    for (int epoch = 0; epoch < 80; ++epoch) {
+        if (epoch == 40) {
+            service.reset();
+            service = std::make_unique<AllocationService>(config);
+            service.reset();
+            service = std::make_unique<AllocationService>(config);
+            EXPECT_TRUE(service->recovery().snapshotLoaded);
+            EXPECT_TRUE(service->snapshot()->seqs.empty());
+            EXPECT_FALSE(service->snapshot()->agents.empty());
+        }
+        const int moves = static_cast<int>(rng() % 6);
+        for (int m = 0; m < moves; ++m) {
+            const unsigned roll = rng() % 10;
+            if (live.empty() || roll < 3) {
+                live.push_back("agent" + std::to_string(next++));
+                service->admit(live.back(),
+                               {elasticity(rng), elasticity(rng)});
+            } else if (roll < 6) {
+                service->update(live[rng() % live.size()],
+                                {elasticity(rng), elasticity(rng)});
+            } else if (roll < 8) {
+                const std::size_t victim = rng() % live.size();
+                service->depart(live[victim]);
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(victim));
+            } else {
+                // Same name, new admission: it moves to the last row.
+                const std::size_t victim = rng() % live.size();
+                const std::string name = live[victim];
+                service->depart(name);
+                service->admit(name, {elasticity(rng), elasticity(rng)});
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(victim));
+                live.push_back(name);
+                ++readmits;
+            }
+        }
+        const auto before = service->snapshot();
+        const svc::EpochResult result = service->tick();
+        const auto after = service->snapshot();
+        EXPECT_EQ(after->seqs.size(), after->agents.size());
+
+        const double expected =
+            quadraticDrift(before->agents, before->allocation,
+                           after->agents, after->allocation);
+        const double actual =
+            service->fairnessSeries().samples().back().l1Drift;
+        EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+            << "epoch " << after->epoch << ": " << actual << " vs "
+            << expected;
+        EXPECT_EQ(result.enforcementChanged,
+                  model.enforce(after->agents, after->allocation))
+            << "epoch " << after->epoch;
+        holds += result.enforcementChanged ? 0 : 1;
+    }
+    EXPECT_GT(readmits, 0u);
+    EXPECT_GT(holds, 0u);
+    service.reset();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(AllocationService, MetricsCountChurnAndEpochs)

@@ -64,12 +64,42 @@ class ChurnModel
 
     bool empty() const { return live_.empty(); }
 
+    /** Live names in admission order. */
+    const std::vector<std::string> &live() const { return live_; }
+
   private:
     PoolTree tree_;
     std::mt19937 rng_;
     std::vector<std::string> live_;
     std::uint64_t nextId_ = 0;
 };
+
+/**
+ * The tree's dense rows against the tree itself: one row per live
+ * agent in admission order, with its name, seq and reported
+ * elasticities.
+ */
+void
+expectRowsMatchTree(const PoolTree &tree, const pool::DenseRows &rows,
+                    const std::vector<std::string> &live)
+{
+    ASSERT_EQ(rows.names, live);
+    ASSERT_EQ(rows.seqs.size(), live.size());
+    ASSERT_EQ(rows.allocation.agents(), live.size());
+    const std::size_t resources = tree.capacity().count();
+    ASSERT_EQ(rows.elasticities.size(), live.size() * resources);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        const pool::PooledAgent &agent = tree.agent(live[i]);
+        EXPECT_EQ(rows.seqs[i], agent.seq) << live[i];
+        if (i > 0) {
+            EXPECT_LT(rows.seqs[i - 1], rows.seqs[i]);
+        }
+        for (std::size_t r = 0; r < resources; ++r)
+            EXPECT_EQ(rows.elasticities[i * resources + r],
+                      agent.elasticities[r])
+                << live[i];
+    }
+}
 
 /**
  * The tree's dense allocation against the closed form run from
@@ -79,12 +109,12 @@ void
 expectMatchesScratch(const PoolTree &tree)
 {
     ASSERT_TRUE(tree.selfCheck());
-    core::AgentList agents;
-    const core::Allocation incremental =
-        tree.allocateDense(nullptr, &agents);
+    pool::DenseRows rows;
+    tree.allocateDense(rows);
+    const core::Allocation &incremental = rows.allocation;
     const core::Allocation scratch =
         core::ProportionalElasticityMechanism().allocate(
-            agents, tree.capacity());
+            rows.agentList(), tree.capacity());
     ASSERT_EQ(incremental.agents(), scratch.agents());
     ASSERT_EQ(incremental.resources(), scratch.resources());
     for (std::size_t i = 0; i < incremental.agents(); ++i)
@@ -103,6 +133,9 @@ TEST(ChurnProperty, IncrementalMatchesScratchAfterAnyChurn)
             if (model.empty())
                 continue;
             expectMatchesScratch(model.tree());
+            pool::DenseRows rows;
+            model.tree().allocateDense(rows);
+            expectRowsMatchTree(model.tree(), rows, model.live());
         }
     }
 }
@@ -116,10 +149,20 @@ TEST(ChurnProperty, AllocationsStayFairUnderChurn)
         if (model.empty())
             continue;
         const auto &tree = model.tree();
-        core::AgentList agents;
-        const auto allocation = tree.allocateDense(nullptr, &agents);
+        pool::DenseRows rows;
+        tree.allocateDense(rows);
+        const core::AgentList agents = rows.agentList();
+        const core::Allocation &allocation = rows.allocation;
         const auto si = core::checkSharingIncentives(
             agents, tree.capacity(), allocation, tolerance);
+        // The rows the epoch reads give the AgentList checks' bits.
+        const auto si_rows = core::checkSharingIncentives(
+            rows.view(), tree.capacity(), tolerance);
+        EXPECT_EQ(std::memcmp(&si.worstSlack, &si_rows.worstSlack,
+                              sizeof(double)),
+                  0)
+            << "step " << step;
+        EXPECT_EQ(si.binding, si_rows.binding) << "step " << step;
         EXPECT_TRUE(si.satisfied) << "step " << step << ": "
                                   << si.binding;
         const auto ef = core::checkEnvyFreeness(agents, allocation,
@@ -135,6 +178,13 @@ TEST(ChurnProperty, AllocationsStayFairUnderChurn)
                   0)
             << "step " << step;
         EXPECT_EQ(ef.binding, pairwise.binding) << "step " << step;
+        const auto ef_rows =
+            core::checkEnvyFreeness(rows.view(), tolerance);
+        EXPECT_EQ(std::memcmp(&ef.worstSlack, &ef_rows.worstSlack,
+                              sizeof(double)),
+                  0)
+            << "step " << step;
+        EXPECT_EQ(ef.binding, ef_rows.binding) << "step " << step;
     }
 }
 
