@@ -7,7 +7,9 @@
  * SI/EF checks and enforcement on, memory-only), each preloaded with
  * N two-resource agents whose elasticities are seeded draws from
  * [0.05, 0.95] printed to four decimals, the way perfbench's
- * flat_epoch generates them. Every round visits every population in
+ * flat_epoch generates them. Each N runs twice: once unlabelled, and
+ * once with every agent in one of two COHORTs, so the epoch also
+ * reports per-cohort SI/EF minima. Every round visits every population in
  * a rotating order and applies 16 UPDATEs of random agents, then
  * times one tick(), so a change in host speed lands on all sizes
  * alike. Prints p50/p99 per N, how many rows the EF check evaluated
@@ -18,8 +20,9 @@
  *
  *   bench_flat_tick [--out BENCH_flat_tick.json]
  *
- * scripts/check_tick_scaling.py gates the records: TICK p99 may grow
- * by at most N log N per doubling of N, plus a fixed slack.
+ * scripts/check_tick_scaling.py gates the records: within each series
+ * (no cohorts, two cohorts) TICK p99 may grow by at most N log N per
+ * doubling of N, plus a fixed slack.
  */
 
 #include <algorithm>
@@ -44,6 +47,8 @@ using namespace ref;
 
 constexpr int kUpdatesPerTick = 16;
 constexpr std::size_t kSizes[] = {256, 512, 1024, 2048, 4096, 8192};
+/** Cohorts per series: none, and every agent in one of two. */
+constexpr std::size_t kCohorts[] = {0, 2};
 constexpr std::size_t kTicks = 1000;
 constexpr std::uint64_t kSeed = 1;
 
@@ -79,6 +84,7 @@ parseOut(int argc, char **argv)
 struct Population
 {
     std::size_t agents = 0;
+    std::size_t cohorts = 0;
     std::unique_ptr<svc::AllocationService> service;
     std::mt19937_64 rng;
     std::vector<double> tickNs;
@@ -117,15 +123,23 @@ main(int argc, char **argv)
 {
     const std::string outPath = parseOut(argc, argv);
 
-    std::vector<Population> populations(std::size(kSizes));
+    std::vector<Population> populations(std::size(kCohorts) *
+                                        std::size(kSizes));
     for (std::size_t p = 0; p < populations.size(); ++p) {
         Population &population = populations[p];
-        population.agents = kSizes[p];
+        population.cohorts = kCohorts[p / std::size(kSizes)];
+        population.agents = kSizes[p % std::size(kSizes)];
         population.rng.seed(kSeed * 1000003 + population.agents);
         population.service = std::make_unique<svc::AllocationService>();
         for (std::size_t k = 0; k < population.agents; ++k)
             population.service->admit(population.name(k),
                                       population.elasticities());
+        for (std::size_t k = 0; population.cohorts > 0 &&
+                                k < population.agents;
+             ++k)
+            population.service->setCohort(
+                population.name(k),
+                "c" + std::to_string(k % population.cohorts));
         population.service->tick();
         population.tickNs.reserve(kTicks);
     }
@@ -145,8 +159,8 @@ main(int argc, char **argv)
             const auto stop = std::chrono::steady_clock::now();
             if (!result.envyFreeness.satisfied ||
                 !result.sharingIncentives.satisfied) {
-                std::fprintf(stderr, "N=%zu: SI/EF violated\n",
-                             population.agents);
+                std::fprintf(stderr, "N=%zu cohorts=%zu: SI/EF violated\n",
+                             population.agents, population.cohorts);
                 return 1;
             }
             population.tickNs.push_back(static_cast<double>(
@@ -161,8 +175,8 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("%8s %8s %12s %12s %12s %14s %14s", "agents",
-                "ticks", "mean_ms", "p50_ms", "p99_ms",
+    std::printf("%8s %8s %8s %12s %12s %12s %14s %14s", "agents",
+                "cohorts", "ticks", "mean_ms", "p50_ms", "p99_ms",
                 "rows_scan_p50", "rows_scan_max");
     for (const Phase &phase : kPhases)
         std::printf(" %12s", (std::string(phase.name) + "_us").c_str());
@@ -177,8 +191,9 @@ main(int argc, char **argv)
         const double mean = total / static_cast<double>(kTicks);
         const double p50 = percentile(population.tickNs, 0.50);
         const double p99 = percentile(population.tickNs, 0.99);
-        std::printf("%8zu %8zu %12.3f %12.3f %12.3f %14zu %14zu",
-                    population.agents, kTicks, mean / 1e6,
+        std::printf("%8zu %8zu %8zu %12.3f %12.3f %12.3f %14zu %14zu",
+                    population.agents, population.cohorts, kTicks,
+                    mean / 1e6,
                     p50 / 1e6, p99 / 1e6,
                     percentile(population.rowsScanned, 0.50),
                     *std::max_element(population.rowsScanned.begin(),
@@ -190,12 +205,14 @@ main(int argc, char **argv)
         }
         std::printf("\n");
         json << "  {\n"
-             << "    \"name\": \"flat_tick_N" << population.agents
-             << "\",\n"
+             << "    \"name\": \"flat_tick_"
+             << (population.cohorts > 0 ? "cohorts_" : "") << "N"
+             << population.agents << "\",\n"
              << "    \"wall_ns\": " << static_cast<std::uint64_t>(mean)
              << ",\n"
              << "    \"iterations\": " << kTicks << ",\n"
              << "    \"agents\": " << population.agents << ",\n"
+             << "    \"cohorts\": " << population.cohorts << ",\n"
              << "    \"tick_p50_ns\": "
              << static_cast<std::uint64_t>(p50) << ",\n"
              << "    \"tick_p99_ns\": "

@@ -4,8 +4,10 @@
     check_tick_scaling.py BENCH_flat_tick.json
 
 Reads the records bench_flat_tick writes (``agents`` and
-``tick_p99_ns`` per population), sorts them by population and checks
-every step from N to 2N: the TICK p99 ratio must not exceed the
+``tick_p99_ns`` per population, and ``cohorts``, the number of COHORT
+labels, 0 when absent). Each series of equal ``cohorts`` is gated
+apart: sorted by population, every step from N to 2N must keep the
+TICK p99 ratio within the
 N log N ratio, (2N log 2N) / (N log N), times (1 + SLACK). SLACK is
 fixed here, before any run, at 0.5: wide enough for a shared CI
 runner's jitter and far below what a quadratic step costs. At
@@ -29,7 +31,22 @@ def nlogn_ratio(small, big):
 
 def violations(records, slack):
     """Human-readable failures of one sweep; empty when it passes."""
-    points = sorted((r["agents"], r["tick_p99_ns"]) for r in records)
+    series = {}
+    for record in records:
+        series.setdefault(record.get("cohorts", 0), []).append(
+            (record["agents"], record["tick_p99_ns"]))
+    if not series:
+        return ["need at least two populations to gate scaling"]
+    errors = []
+    for cohorts, points in sorted(series.items()):
+        print(f"series cohorts={cohorts}:")
+        errors += [f"cohorts={cohorts}: {error}"
+                   for error in series_violations(sorted(points), slack)]
+    return errors
+
+
+def series_violations(points, slack):
+    """Failures of one series of (agents, p99) points, sorted."""
     if len(points) < 2:
         return ["need at least two populations to gate scaling"]
     errors = []

@@ -12,10 +12,16 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 import check_tick_scaling as cts
 
 
-def sweep(p99_by_agents):
-    return [{"name": f"flat_tick_N{n}", "wall_ns": p99, "iterations": 1,
-             "agents": n, "tick_p50_ns": p99, "tick_p99_ns": p99}
-            for n, p99 in p99_by_agents.items()]
+def sweep(p99_by_agents, cohorts=None):
+    records = [{"name": f"flat_tick_N{n}", "wall_ns": p99,
+                "iterations": 1, "agents": n, "tick_p50_ns": p99,
+                "tick_p99_ns": p99}
+               for n, p99 in p99_by_agents.items()]
+    if cohorts is not None:
+        for record in records:
+            record["name"] = record["name"].replace("_N", "_cohorts_N")
+            record["cohorts"] = cohorts
+    return records
 
 
 class ScalingGate(unittest.TestCase):
@@ -37,6 +43,23 @@ class ScalingGate(unittest.TestCase):
     def test_rejects_gaps_and_single_points(self):
         self.assertTrue(cts.violations(sweep({256: 1, 1024: 4}), 0.5))
         self.assertTrue(cts.violations(sweep({256: 1}), 0.5))
+
+    def test_each_cohort_series_is_gated_apart(self):
+        # Interleaved, the two series are not doublings of each other;
+        # apart, the plain one passes and the quadratic one fails.
+        plain = sweep({n: n * n.bit_length() for n in (256, 512, 1024)})
+        cohorts = {n: n * n for n in (256, 512, 1024)}
+        errors = cts.violations(plain + sweep(cohorts, 2), 0.5)
+        self.assertEqual(len(errors), 2)
+        self.assertTrue(all(e.startswith("cohorts=2:") for e in errors))
+        # A record without the field is in the cohorts=0 series.
+        self.assertEqual(cts.violations(
+            sweep({256: 256 * 9}) + sweep({512: 512 * 10}, 0), 0.5), [])
+
+    def test_a_series_of_one_point_fails(self):
+        plain = sweep({n: n * n.bit_length() for n in (256, 512)})
+        self.assertEqual(
+            len(cts.violations(plain + sweep({256: 1}, 2), 0.5)), 1)
 
     def test_main_reads_a_file(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -59,6 +59,8 @@ _OPTIONAL = {
     and not isinstance(v, bool) and v >= 0,
     "pools": lambda v: isinstance(v, int)
     and not isinstance(v, bool) and v >= 0,
+    "cohorts": lambda v: isinstance(v, int)
+    and not isinstance(v, bool) and v >= 0,
     "tick_p50_ns": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool) and v >= 0,
     "tick_p99_ns": lambda v: isinstance(v, (int, float))

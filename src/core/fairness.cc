@@ -48,6 +48,17 @@ logScaleOf(const AgentRows &rows, std::size_t i)
     return rows.logScales != nullptr ? rows.logScales[i] : 0.0;
 }
 
+/** Lower row @p i's entry of a non-null @p minima to @p slack. */
+void
+noteLabel(const AgentRows &rows, std::vector<double> *minima,
+          std::size_t i, double slack)
+{
+    if (minima != nullptr && rows.labels != nullptr &&
+        rows.labels[i] != kNoLabel)
+        (*minima)[rows.labels[i]] =
+            std::min((*minima)[rows.labels[i]], slack);
+}
+
 /**
  * The row-by-row logValue loops throw logValue's error on the lowest
  * bundle it rejects (each such loop evaluates every bundle, in row
@@ -139,7 +150,8 @@ BundleLogs::value(const double *alphas, double log_scale,
 PropertyCheck
 checkSharingIncentives(const AgentRows &rows,
                        const SystemCapacity &capacity,
-                       const FairnessTolerance &tol)
+                       const FairnessTolerance &tol,
+                       std::vector<double> *label_slack)
 {
     const Allocation &allocation = *rows.allocation;
     const std::size_t n = allocation.agents();
@@ -148,6 +160,8 @@ checkSharingIncentives(const AgentRows &rows,
     REF_REQUIRE(capacity.count() == resources,
                 "capacity/allocation resource mismatch");
     raiseRejected(rows);
+    if (label_slack != nullptr)
+        label_slack->assign(rows.labelCount, kInfinity);
 
     // log(C_r / N) once. logValue stops at a zero share and returns
     // -inf, so a zero equal share makes every split worthless.
@@ -180,6 +194,7 @@ checkSharingIncentives(const AgentRows &rows,
             check.worstSlack = slack;
             binding = i;
         }
+        noteLabel(rows, label_slack, i, slack);
         if (slack < -tol.utility)
             check.satisfied = false;
     }
@@ -271,9 +286,12 @@ struct EnvyScan
     bool hasBinding = false;
     bool satisfied = true;
     std::size_t rows = 0;
+    /** Per-label minima to lower; null when none are wanted. */
+    std::vector<double> *labelMinima = nullptr;
 };
 
-/** Every pair (i, j), j != i, with the pairwise loop's arithmetic. */
+/** Every pair (i, j), j != i, with the pairwise loop's arithmetic;
+ *  the row's minimum also lowers its label's. */
 void
 scanRow(const AgentRows &rows, const std::vector<double> &own,
         std::size_t i, const FairnessTolerance &tol, EnvyScan &scan)
@@ -281,6 +299,7 @@ scanRow(const AgentRows &rows, const std::vector<double> &own,
     const double *alphas = alphasOf(rows, i);
     const double log_scale = logScaleOf(rows, i);
     const std::size_t n = rows.allocation->agents();
+    double row_worst = kInfinity;
     for (std::size_t j = 0; j < n; ++j) {
         if (j == i)
             continue;
@@ -289,6 +308,7 @@ scanRow(const AgentRows &rows, const std::vector<double> &own,
         const double slack = std::isinf(own[i]) && std::isinf(other)
                                  ? 0.0
                                  : own[i] - other;
+        row_worst = std::min(row_worst, slack);
         if (slack < scan.worst) {
             scan.worst = slack;
             scan.agent = i;
@@ -298,6 +318,7 @@ scanRow(const AgentRows &rows, const std::vector<double> &own,
         if (slack < -tol.utility)
             scan.satisfied = false;
     }
+    noteLabel(rows, scan.labelMinima, i, row_worst);
     ++scan.rows;
 }
 
@@ -517,11 +538,15 @@ isPermutation(const std::vector<std::size_t> &order, std::size_t n)
  * rounding of logValue's expression and of the subtraction (see
  * DESIGN.md, "Checking EF near-linearly"). Returns the rows with
  * U_i - D_i <= U, in increasing order: the only ones that can hold
- * the global minimum.
+ * the global minimum. With @p labels, a labelled row i is measured
+ * against its label's U_L = min over the label's rows of U_k
+ * instead, a bound no lower than U: the rows kept then also include
+ * every row that can hold its label's minimum.
  */
 std::vector<std::size_t>
 candidateRows(const AgentRows &rows, const std::vector<double> &own,
-              std::vector<std::size_t> *hull_order)
+              std::vector<std::size_t> *hull_order,
+              const std::uint32_t *labels)
 {
     const BundleLogs &logs = *rows.logs;
     const std::size_t n = rows.allocation->agents();
@@ -581,10 +606,22 @@ candidateRows(const AgentRows &rows, const std::vector<double> &own,
         margin[i] =
             2 * value_error + 4 * kUnitRoundoff * std::abs(upper[i]);
     }
+    std::vector<double> label_upper;
+    if (labels != nullptr) {
+        label_upper.assign(rows.labelCount, kInfinity);
+        for (std::size_t i = 0; i < n; ++i)
+            if (labels[i] != kNoLabel)
+                label_upper[labels[i]] =
+                    std::min(label_upper[labels[i]], upper[i]);
+    }
     std::vector<std::size_t> candidates;
-    for (std::size_t i = 0; i < n; ++i)
-        if (upper[i] - global <= margin[i])
+    for (std::size_t i = 0; i < n; ++i) {
+        const double bound = labels != nullptr && labels[i] != kNoLabel
+                                 ? label_upper[labels[i]]
+                                 : global;
+        if (upper[i] - bound <= margin[i])
             candidates.push_back(i);
+    }
     return candidates;
 }
 
@@ -614,7 +651,8 @@ filterApplies(const AgentRows &rows)
 PropertyCheck
 checkEnvyFreeness(const AgentRows &rows, const FairnessTolerance &tol,
                   EnvyCheckStats *stats,
-                  std::vector<std::size_t> *hull_order)
+                  std::vector<std::size_t> *hull_order,
+                  std::vector<double> *label_slack)
 {
     const std::size_t n = rows.allocation->agents();
     REF_REQUIRE(n > 0, "no agents to check");
@@ -628,8 +666,13 @@ checkEnvyFreeness(const AgentRows &rows, const FairnessTolerance &tol,
                                   i);
 
     EnvyScan scan;
+    scan.labelMinima = label_slack;
+    if (label_slack != nullptr)
+        label_slack->assign(rows.labelCount, kInfinity);
     if (filterApplies(rows)) {
-        for (const std::size_t i : candidateRows(rows, own, hull_order))
+        for (const std::size_t i : candidateRows(
+                 rows, own, hull_order,
+                 label_slack != nullptr ? rows.labels : nullptr))
             scanRow(rows, own, i, tol, scan);
     } else {
         if (hull_order != nullptr)

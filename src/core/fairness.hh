@@ -9,6 +9,7 @@
 #define REF_CORE_FAIRNESS_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,9 @@ class BundleLogs
     std::size_t firstRejected_ = 0;
 };
 
+/** Label id of an unlabelled row. */
+inline constexpr std::uint32_t kNoLabel = 0xffffffffu;
+
 /**
  * One allocation's agents as rows: the input the SI and EF checks
  * read. Row i's utility is a0_i * prod_r x_r^alpha_ir and its bundle
@@ -118,16 +122,23 @@ struct AgentRows
     const double *elasticities = nullptr;
     /** log a0 per row; null when every a0 is 1. */
     const double *logScales = nullptr;
+    /** Label id per row (a cohort), below labelCount or kNoLabel;
+     *  null when no row is labelled. */
+    const std::uint32_t *labels = nullptr;
+    std::size_t labelCount = 0;
 };
 
 /**
  * Check SI for every agent (Eq. 3): each agent weakly prefers its
  * bundle to the equal split C/N. One multiply-add pass over the
- * shared logs; log(C_r/N) is taken once.
+ * shared logs; log(C_r/N) is taken once. A non-null @p label_slack
+ * receives one entry per label id: the minimum slack over the
+ * label's rows (+inf for a label no row carries).
  */
 PropertyCheck checkSharingIncentives(
     const AgentRows &rows, const SystemCapacity &capacity,
-    const FairnessTolerance &tol = {});
+    const FairnessTolerance &tol = {},
+    std::vector<double> *label_slack = nullptr);
 
 /** checkSharingIncentives over an AgentList (builds the rows). */
 PropertyCheck checkSharingIncentives(
@@ -163,11 +174,17 @@ struct EnvyCheckStats
  * N log2 N moves, then std::sort), and it receives this check's
  * order, or nothing when the filter did not run. The result is the
  * same either way.
+ *
+ * A non-null @p label_slack receives, per label id, the pairwise
+ * loop's minimum over the pairs (i, j) whose row i carries the label
+ * (+inf when there is none): the filter then also keeps every row
+ * that could hold a label's minimum.
  */
 PropertyCheck checkEnvyFreeness(
     const AgentRows &rows, const FairnessTolerance &tol = {},
     EnvyCheckStats *stats = nullptr,
-    std::vector<std::size_t> *hull_order = nullptr);
+    std::vector<std::size_t> *hull_order = nullptr,
+    std::vector<double> *label_slack = nullptr);
 
 /** checkEnvyFreeness over an AgentList (builds the rows). */
 PropertyCheck checkEnvyFreeness(

@@ -3,25 +3,20 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <functional>
 
 #include "util/logging.hh"
 #include "util/math.hh"
 
 namespace ref::pool {
 
-PoolTree::PoolTree(core::SystemCapacity capacity, std::size_t shards)
+PoolTree::PoolTree(core::SystemCapacity capacity)
     : capacity_(std::move(capacity))
 {
-    REF_REQUIRE(shards >= 1, "pool tree needs at least one shard");
     Node root;
     root.path = kRootPath;
     root.subtree.resize(capacity_.count());
     nodeIndex_.emplace(root.path, 0);
     nodes_.push_back(std::move(root));
-    shards_.resize(shards);
-    for (auto &shard : shards_)
-        shard.sums.resize(capacity_.count());
 }
 
 void
@@ -153,34 +148,17 @@ PoolTree::validateAgent(const std::string &name,
     }
 }
 
-PoolTree::Shard &
-PoolTree::shardFor(const std::string &name)
-{
-    return shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
-const PoolTree::Shard &
-PoolTree::shardFor(const std::string &name) const
-{
-    return shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
 PooledAgent &
 PoolTree::entryOf(const std::string &name)
 {
-    auto &shard = shardFor(name);
-    const auto found = shard.agents.find(name);
-    REF_REQUIRE(found != shard.agents.end(),
-                "agent '" << name << "' is not registered");
-    return found->second;
+    return const_cast<PooledAgent &>(agent(name));
 }
 
 const PooledAgent &
 PoolTree::agent(const std::string &name) const
 {
-    const auto &shard = shardFor(name);
-    const auto found = shard.agents.find(name);
-    REF_REQUIRE(found != shard.agents.end(),
+    const auto found = agents_.find(name);
+    REF_REQUIRE(found != agents_.end(),
                 "agent '" << name << "' is not registered");
     return found->second;
 }
@@ -202,18 +180,24 @@ void
 PoolTree::applyAlongPath(std::uint32_t pool,
                          const linalg::Vector &effective, int direction)
 {
-    std::uint32_t node = pool;
-    for (;;) {
-        auto &sums = nodes_[node].subtree;
+    if (direction > 0)
+        ++nodes_[pool].directAgents;
+    else
+        --nodes_[pool].directAgents;
+    for (std::uint32_t node = pool;; node = nodes_[node].parent) {
+        Node &at = nodes_[node];
         for (std::size_t r = 0; r < effective.size(); ++r) {
             if (direction > 0)
-                sums[r].add(effective[r]);
+                at.subtree[r].add(effective[r]);
             else
-                sums[r].subtract(effective[r]);
+                at.subtree[r].subtract(effective[r]);
         }
+        if (direction > 0)
+            ++at.agentsInSubtree;
+        else
+            --at.agentsInSubtree;
         if (node == 0)
             break;
-        node = nodes_[node].parent;
     }
 }
 
@@ -236,21 +220,10 @@ PoolTree::admit(const std::string &name,
     agent.seq = nextSeq_++;
     agent.pool = pool;
 
-    auto &shard = shardFor(name);
-    for (std::size_t r = 0; r < agent.effective.size(); ++r)
-        shard.sums[r].add(agent.effective[r]);
     applyAlongPath(pool, agent.effective, +1);
-    for (std::uint32_t node = pool;;) {
-        ++nodes_[node].agentsInSubtree;
-        if (node == 0)
-            break;
-        node = nodes_[node].parent;
-    }
-    ++nodes_[pool].directAgents;
-    const auto placed = shard.agents.emplace(name, std::move(agent));
+    const auto placed = agents_.emplace(name, std::move(agent));
     order_.emplace_back(placed.first->second.seq,
                         &placed.first->second);
-    ++agentCount_;
     ++churnEvents_;
 }
 
@@ -260,13 +233,8 @@ PoolTree::update(const std::string &name,
 {
     validateAgent(name, elasticities);
     PooledAgent &agent = entryOf(name);
-    auto &shard = shardFor(name);
     const linalg::Vector rescaled = normalizeToUnitSum(elasticities);
     const linalg::Vector effective = effectiveFor(rescaled, agent.pool);
-    for (std::size_t r = 0; r < effective.size(); ++r) {
-        shard.sums[r].subtract(agent.effective[r]);
-        shard.sums[r].add(effective[r]);
-    }
     applyAlongPath(agent.pool, agent.effective, -1);
     applyAlongPath(agent.pool, effective, +1);
     agent.elasticities = elasticities;
@@ -282,29 +250,10 @@ PoolTree::assign(const std::string &name, const std::string &poolPath)
     PooledAgent &agent = entryOf(name);
     if (agent.pool == pool)
         return; // Idempotent: already resident.
-    auto &shard = shardFor(name);
 
     const linalg::Vector effective = effectiveFor(agent.rescaled, pool);
-    for (std::size_t r = 0; r < effective.size(); ++r) {
-        shard.sums[r].subtract(agent.effective[r]);
-        shard.sums[r].add(effective[r]);
-    }
     applyAlongPath(agent.pool, agent.effective, -1);
     applyAlongPath(pool, effective, +1);
-    for (std::uint32_t node = agent.pool;;) {
-        --nodes_[node].agentsInSubtree;
-        if (node == 0)
-            break;
-        node = nodes_[node].parent;
-    }
-    for (std::uint32_t node = pool;;) {
-        ++nodes_[node].agentsInSubtree;
-        if (node == 0)
-            break;
-        node = nodes_[node].parent;
-    }
-    --nodes_[agent.pool].directAgents;
-    ++nodes_[pool].directAgents;
     agent.pool = pool;
     agent.effective = effective;
     ++churnEvents_;
@@ -314,39 +263,49 @@ void
 PoolTree::depart(const std::string &name)
 {
     PooledAgent &agent = entryOf(name);
-    auto &shard = shardFor(name);
-    for (std::size_t r = 0; r < agent.effective.size(); ++r)
-        shard.sums[r].subtract(agent.effective[r]);
     applyAlongPath(agent.pool, agent.effective, -1);
-    for (std::uint32_t node = agent.pool;;) {
-        --nodes_[node].agentsInSubtree;
-        if (node == 0)
-            break;
-        node = nodes_[node].parent;
-    }
-    --nodes_[agent.pool].directAgents;
     const auto slot = std::lower_bound(
         order_.begin(), order_.end(), agent.seq,
         [](const auto &entry, std::uint64_t seq) {
             return entry.first < seq;
         });
     slot->second = nullptr;
-    if (++holes_ > agentCount_) {
+    if (++holes_ > agents_.size()) {
         std::erase_if(order_, [](const auto &entry) {
             return entry.second == nullptr;
         });
         holes_ = 0;
     }
-    shard.agents.erase(name);
-    --agentCount_;
+    leaveCohort(agent);
+    agents_.erase(name);
     ++churnEvents_;
+}
+
+void
+PoolTree::setCohort(const std::string &name, const std::string &label)
+{
+    PooledAgent &agent = entryOf(name);
+    const auto entry = cohorts_.try_emplace(label).first;
+    ++entry->second.members;
+    leaveCohort(agent);
+    agent.cohort = &*entry;
+}
+
+void
+PoolTree::leaveCohort(PooledAgent &agent)
+{
+    if (agent.cohort == nullptr)
+        return;
+    const auto entry = cohorts_.find(agent.cohort->first);
+    if (--entry->second.members == 0)
+        cohorts_.erase(entry);
+    agent.cohort = nullptr;
 }
 
 bool
 PoolTree::contains(const std::string &name) const
 {
-    const auto &shard = shardFor(name);
-    return shard.agents.find(name) != shard.agents.end();
+    return agents_.find(name) != agents_.end();
 }
 
 const std::string &
@@ -413,7 +372,7 @@ std::vector<const PooledAgent *>
 PoolTree::denseOrder() const
 {
     std::vector<const PooledAgent *> order;
-    order.reserve(agentCount_);
+    order.reserve(agents_.size());
     for (const auto &entry : order_)
         if (entry.second != nullptr)
             order.push_back(entry.second);
@@ -453,6 +412,11 @@ PoolTree::allocateDense() const
 void
 PoolTree::allocateDense(DenseRows &rows) const
 {
+    rows.cohorts.clear();
+    for (const auto &[label, cohort] : cohorts_) {
+        cohort.id = static_cast<std::uint32_t>(rows.cohorts.size());
+        rows.cohorts.emplace_back(label, cohort.members);
+    }
     rows.allocation = allocateWith(denominators(), &rows);
     rows.logs = core::BundleLogs(rows.allocation);
 }
@@ -466,14 +430,19 @@ PoolTree::allocateWith(const std::vector<double> &denominators,
     for (std::size_t r = 0; r < resources; ++r)
         REF_ASSERT(denominators[r] > 0,
                    "effective claims sum to zero for resource " << r);
-    core::Allocation allocation(agentCount_, resources);
+    const std::size_t count = agents_.size();
+    core::Allocation allocation(count, resources);
+    const bool labelled = rows != nullptr && !cohorts_.empty();
     if (rows != nullptr) {
         rows->names.clear();
-        rows->names.reserve(agentCount_);
+        rows->names.reserve(count);
         rows->seqs.clear();
-        rows->seqs.reserve(agentCount_);
+        rows->seqs.reserve(count);
         rows->elasticities.clear();
-        rows->elasticities.reserve(agentCount_ * resources);
+        rows->elasticities.reserve(count * resources);
+        rows->labels.clear();
+        if (labelled)
+            rows->labels.reserve(count);
     }
     std::size_t i = 0;
     for (const auto &[seq, slot] : order_) {
@@ -492,6 +461,10 @@ PoolTree::allocateWith(const std::vector<double> &denominators,
             rows->elasticities.insert(rows->elasticities.end(),
                                       entry.elasticities.begin(),
                                       entry.elasticities.end());
+            if (labelled)
+                rows->labels.push_back(entry.cohort != nullptr
+                                           ? entry.cohort->second.id
+                                           : core::kNoLabel);
         }
         ++i;
     }
@@ -503,23 +476,14 @@ PoolTree::selfCheck() const
 {
     std::vector<double> scratchDenominators(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r) {
-        const double incremental = nodes_[0].subtree[r].round();
-
-        ExactSum merged;
-        for (const auto &shard : shards_)
-            merged.merge(shard.sums[r]);
-
-        // Flat rebuild in arbitrary (shard) order: ExactSum's
+        // Rebuild in arbitrary (hash) order: ExactSum's
         // order-independence makes this round identically to the
         // incrementally maintained root sums.
         ExactSum scratch;
-        for (const auto &shard : shards_)
-            for (const auto &entry : shard.agents)
-                scratch.add(entry.second.effective[r]);
+        for (const auto &entry : agents_)
+            scratch.add(entry.second.effective[r]);
         scratchDenominators[r] = scratch.round();
-
-        if (incremental != merged.round() ||
-            incremental != scratchDenominators[r])
+        if (nodes_[0].subtree[r].round() != scratchDenominators[r])
             return false;
     }
     if (empty())

@@ -1,6 +1,6 @@
 /**
  * @file
- * Hierarchical fair-share pool tree with sharded leaf registries.
+ * Hierarchical fair-share pool tree.
  *
  * The tree is the service's only agent store. A flat service is a
  * root-only tree: every agent sits in "/", every gain is 1.0, and
@@ -23,23 +23,26 @@
  * and the pooled allocation is bit-identical to the flat solve.
  *
  * Incrementality: every tree node keeps the per-resource ExactSum of
- * the effective claims in its subtree, and the leaf agent registry is
- * split into S hash shards that each keep the same per-resource
- * ExactSum over their resident agents. An admit / update / depart /
- * re-assign therefore touches exactly one shard plus the root-to-leaf
- * path — O(depth x resources) ExactSum operations, independent of the
- * population. Because ExactSums hold the exact real sum as
- * non-overlapping partials, merging the shard sums (or summing the
- * subtree sums bottom-up) rounds to the very same double as one flat
- * from-scratch sum over all agents, in any order — the property
- * selfCheck() asserts three ways (incremental root vs shard merge vs
- * scratch rebuild) plus a bitwise dense-allocation compare.
+ * the effective claims in its subtree, and the agents live in one
+ * name-keyed map. An admit / update / depart / re-assign therefore
+ * touches one map entry plus the root-to-leaf path — O(depth x
+ * resources) ExactSum operations, independent of the population.
+ * Because ExactSums hold the exact real sum as non-overlapping
+ * partials, the incrementally maintained root sums round to the very
+ * same double as one from-scratch sum over all agents, in any order —
+ * the property selfCheck() asserts (incremental root vs scratch
+ * rebuild) plus a bitwise dense-allocation compare.
+ *
+ * A flat service may also label agents with a cohort. The label is
+ * telemetry only: it lives in the agent's record, leaves with the
+ * agent, and is never persisted, hashed or counted as churn.
  */
 
 #ifndef REF_POOL_POOL_TREE_HH
 #define REF_POOL_POOL_TREE_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -61,7 +64,18 @@ inline constexpr std::size_t kMaxPoolDepth = 16;
 /** Maximum length of a pool path in characters. */
 inline constexpr std::size_t kMaxPoolPathLength = 256;
 
-/** One agent resident in a pool-tree shard. */
+/** One cohort label's live members, and its id (label order) in
+ *  the last allocateDense(DenseRows &). */
+struct Cohort
+{
+    std::size_t members = 0;
+    mutable std::uint32_t id = 0;
+};
+
+/** Cohort labels in label order. */
+using CohortMap = std::map<std::string, Cohort>;
+
+/** One agent resident in the pool tree. */
 struct PooledAgent
 {
     std::string name;
@@ -76,6 +90,8 @@ struct PooledAgent
     std::uint64_t seq = 0;
     /** Node id of the owning pool. */
     std::uint32_t pool = 0;
+    /** Cohort label and its members; null when unlabelled. */
+    const CohortMap::value_type *cohort = nullptr;
 };
 
 /**
@@ -93,12 +109,18 @@ struct DenseRows
     std::vector<double> elasticities;
     /** log x_ir of every allocated amount. */
     core::BundleLogs logs;
+    /** Cohort id per row (core::kNoLabel when unlabelled); empty
+     *  while no live agent carries a label. */
+    std::vector<std::uint32_t> labels;
+    /** Per cohort id, in label order: the label and its members. */
+    std::vector<std::pair<std::string, std::size_t>> cohorts;
 
     /** The rows as the fairness checks read them (every a0 is 1). */
     core::AgentRows view() const
     {
         return {&allocation, &logs, names.data(), elasticities.data(),
-                nullptr};
+                nullptr, labels.empty() ? nullptr : labels.data(),
+                cohorts.size()};
     }
 
     /** The rows as agents, for the from-scratch mechanism. */
@@ -120,8 +142,7 @@ struct PoolView
 };
 
 /**
- * Weighted pool tree with per-node exact subtree denominators and
- * hash-sharded leaf agent storage.
+ * Weighted pool tree with per-node exact subtree denominators.
  *
  * Not thread-safe on its own; the AllocationService facade
  * serializes mutation.
@@ -129,12 +150,11 @@ struct PoolView
 class PoolTree
 {
   public:
-    /** @pre shards >= 1. */
-    explicit PoolTree(core::SystemCapacity capacity,
-                      std::size_t shards = 8);
+    explicit PoolTree(core::SystemCapacity capacity);
 
-    // The admission-order index points into the shard maps, whose
-    // nodes survive a move but not a copy.
+    // The admission-order index points into the agent map, and each
+    // agent at its cohort's entry: map nodes survive a move but not a
+    // copy.
     PoolTree(const PoolTree &) = delete;
     PoolTree &operator=(const PoolTree &) = delete;
     PoolTree(PoolTree &&) = default;
@@ -180,11 +200,18 @@ class PoolTree
     /** Move an agent to @p poolPath. Throws when either is unknown. */
     void assign(const std::string &name, const std::string &poolPath);
 
-    /** Remove an agent. Throws when unknown. */
+    /** Remove an agent, and its cohort label. Throws when unknown. */
     void depart(const std::string &name);
 
-    std::size_t size() const { return agentCount_; }
-    bool empty() const { return agentCount_ == 0; }
+    /** Label agent @p name with cohort @p label, replacing any other
+     *  (telemetry, not churn). Throws when the agent is unknown. */
+    void setCohort(const std::string &name, const std::string &label);
+
+    /** True while some live agent carries a cohort label. */
+    bool hasCohorts() const { return !cohorts_.empty(); }
+
+    std::size_t size() const { return agents_.size(); }
+    bool empty() const { return agents_.empty(); }
     bool contains(const std::string &name) const;
 
     /** Live agent @p name. Throws when unknown. */
@@ -200,7 +227,6 @@ class PoolTree
     }
 
     const core::SystemCapacity &capacity() const { return capacity_; }
-    std::size_t shards() const { return shards_.size(); }
 
     /**
      * Incrementally maintained root denominator D[r] — the correctly
@@ -236,20 +262,20 @@ class PoolTree
 
     /**
      * The dense epoch record: the allocation above plus each row's
-     * name, seq and reported elasticities from the same O(N) walk,
-     * then one log x_ir per amount. Flat epochs and the pooled
-     * property checks read it; it holds no AgentList (see
-     * DenseRows::agentList). @pre !empty().
+     * name, seq and reported elasticities (and, while any agent is
+     * labelled, its cohort id) from the same O(N) walk, then one
+     * log x_ir per amount. Flat epochs and the pooled property checks
+     * read it; it holds no AgentList (see DenseRows::agentList).
+     * @pre !empty().
      */
     void allocateDense(DenseRows &rows) const;
 
     /**
-     * The tree-wide bit-identity invariant, checked three ways per
-     * resource: the incremental root subtree sum, the merge of the
-     * per-shard sums, and a from-scratch flat rebuild must all round
-     * to the same double, and the dense allocation from the
-     * incremental sums must equal the one from the rebuilt sums
-     * bitwise. O(N) — verification only.
+     * The tree-wide bit-identity invariant: per resource, the
+     * incremental root subtree sum and a from-scratch rebuild over
+     * every agent must round to the same double, and the dense
+     * allocation from the incremental sums must equal the one from
+     * the rebuilt sums bitwise. O(N) — verification only.
      */
     bool selfCheck() const;
 
@@ -280,22 +306,16 @@ class PoolTree
         std::vector<ExactSum> subtree;
     };
 
-    struct Shard
-    {
-        std::unordered_map<std::string, PooledAgent> agents;
-        /** Per-resource exact sums over this shard's residents. */
-        std::vector<ExactSum> sums;
-    };
-
     void validateAgent(const std::string &name,
                        const linalg::Vector &elasticities) const;
     static void validatePath(const std::string &path);
     /** Node id for @p path; throws when the pool does not exist. */
     std::uint32_t resolve(const std::string &path) const;
-    Shard &shardFor(const std::string &name);
-    const Shard &shardFor(const std::string &name) const;
     PooledAgent &entryOf(const std::string &name);
-    /** Add (+1) or subtract (-1) @p effective along root..pool. */
+    /** Drop @p agent from its cohort, erasing an emptied label. */
+    void leaveCohort(PooledAgent &agent);
+    /** Add (+1) or take away (-1) one agent resident in @p pool: its
+     *  @p effective claims and its head count, along root..pool. */
     void applyAlongPath(std::uint32_t pool,
                         const linalg::Vector &effective, int direction);
     linalg::Vector effectiveFor(const linalg::Vector &rescaled,
@@ -314,7 +334,9 @@ class PoolTree
     core::SystemCapacity capacity_;
     std::vector<Node> nodes_;  //!< Creation order; nodes_[0] is "/".
     std::unordered_map<std::string, std::uint32_t> nodeIndex_;
-    std::vector<Shard> shards_;
+    std::unordered_map<std::string, PooledAgent> agents_;
+    /** Labels some live agent carries; see setCohort. */
+    CohortMap cohorts_;
     /**
      * Every agent's (seq, entry) in ascending seq, so the dense walk
      * reads one contiguous array instead of chasing map nodes. A
@@ -323,7 +345,6 @@ class PoolTree
      */
     std::vector<std::pair<std::uint64_t, const PooledAgent *>> order_;
     std::size_t holes_ = 0;
-    std::size_t agentCount_ = 0;
     std::size_t maxDepth_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t churnEvents_ = 0;

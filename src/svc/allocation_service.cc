@@ -7,6 +7,7 @@
 #include <ostream>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -26,7 +27,7 @@ ServiceSnapshot::indexOf(const std::string &name) const
 
 AllocationService::AllocationService(ServiceConfig config)
     : config_(std::move(config)),
-      tree_(config_.capacity, config_.poolShards),
+      tree_(config_.capacity),
       driver_(tree_, config_.epoch, config_.pooled),
       snapshot_(std::make_shared<const ServiceSnapshot>())
 {
@@ -70,7 +71,6 @@ AllocationService::depart(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
     tree_.depart(name);
-    cohorts_.erase(name);
     metrics_.recordDepart();
     JournalRecord record;
     record.type = JournalRecord::Type::Depart;
@@ -101,9 +101,9 @@ AllocationService::tick()
     EpochResult result = driver_.tick();
     metrics_.recordEpoch(result);
     const auto start = std::chrono::steady_clock::now();
-    publishEpochLocked(result);
+    const auto current = publishEpochLocked(result);
     const auto published = std::chrono::steady_clock::now();
-    recordFairnessLocked(*previous, result);
+    recordFairnessLocked(*previous, *current, result);
     result.phases.publish = published - start;
     result.phases.drift = std::chrono::steady_clock::now() - published;
     JournalRecord record;
@@ -145,14 +145,14 @@ AllocationService::setCohort(const std::string &name,
     REF_REQUIRE(label != "_total",
                 "cohort label '_total' is reserved for the global "
                 "series");
-    cohorts_[name] = label;
+    tree_.setCohort(name, label);
 }
 
 bool
 AllocationService::hasCohorts() const
 {
     std::lock_guard<std::mutex> lock(writeMutex_);
-    return !cohorts_.empty();
+    return tree_.hasCohorts();
 }
 
 void
@@ -260,11 +260,11 @@ bundleMass(const core::Allocation &allocation, std::size_t row)
  */
 double
 allocationDrift(const ServiceSnapshot &previous,
-                const EpochResult &current)
+                const ServiceSnapshot &current)
 {
     constexpr std::size_t kUnmatched = static_cast<std::size_t>(-1);
     const std::vector<std::string> &old_names = previous.agents;
-    const std::vector<std::string> &new_names = current.agentNames;
+    const std::vector<std::string> &new_names = current.agents;
     const core::Allocation &old_alloc = previous.allocation;
     const core::Allocation &new_alloc = current.allocation;
 
@@ -272,7 +272,7 @@ allocationDrift(const ServiceSnapshot &previous,
     std::vector<char> matched(old_names.size(), 0);
     std::size_t pairs = 0;
     const std::vector<std::uint64_t> &old_seqs = previous.seqs;
-    const std::vector<std::uint64_t> &new_seqs = current.agentSeqs;
+    const std::vector<std::uint64_t> &new_seqs = current.seqs;
     if (old_seqs.size() == old_names.size() &&
         new_seqs.size() == new_names.size()) {
         std::size_t j = 0;
@@ -323,6 +323,29 @@ allocationDrift(const ServiceSnapshot &previous,
     return drift;
 }
 
+/** The epoch's global fairness sample, drift aside. */
+obs::FairnessSample
+epochSample(const EpochResult &result)
+{
+    obs::FairnessSample sample;
+    sample.epoch = result.epoch;
+    sample.agents = result.liveAgents;
+    sample.checked = result.propertiesChecked;
+    if (result.propertiesChecked) {
+        // worstSlack is in log-utility units, so exp() turns it into
+        // the paper's multiplicative margin (>= 1 iff satisfied).
+        sample.siMargin =
+            std::exp(result.sharingIncentives.worstSlack);
+        sample.efMargin = std::exp(result.envyFreeness.worstSlack);
+    }
+    sample.enforced = result.enforcementChanged;
+    sample.maxRelativeChange = result.maxRelativeChange;
+    sample.latencyNs = static_cast<std::uint64_t>(
+        std::max<std::chrono::nanoseconds::rep>(
+            result.latency.count(), 0));
+    return sample;
+}
+
 } // namespace
 
 void
@@ -331,21 +354,7 @@ AllocationService::recordPooledFairnessLocked(
 {
     const std::vector<pool::PoolView> views = tree_.pools();
     const std::uint64_t population = result.liveAgents;
-    const auto latencyNs = static_cast<std::uint64_t>(
-        std::max<std::chrono::nanoseconds::rep>(
-            result.latency.count(), 0));
-
-    obs::FairnessSample global;
-    global.epoch = result.epoch;
-    global.agents = population;
-    global.checked = result.propertiesChecked;
-    if (result.propertiesChecked) {
-        global.siMargin =
-            std::exp(result.sharingIncentives.worstSlack);
-        global.efMargin = std::exp(result.envyFreeness.worstSlack);
-    }
-    global.maxRelativeChange = result.maxRelativeChange;
-    global.latencyNs = latencyNs;
+    obs::FairnessSample global = epochSample(result);
 
     // Pools are append-only, so creation order indexes both the last
     // epoch's fractions and this epoch's views stably.
@@ -386,7 +395,7 @@ AllocationService::recordPooledFairnessLocked(
         // Envy is agent-granular; at pool granularity the column is
         // reserved (identically 1).
         sample.l1Drift = drift;
-        sample.latencyNs = latencyNs;
+        sample.latencyNs = global.latencyNs;
         series_.appendLabelled(views[p].path, sample);
         lastPoolShares_[p] = fractions;
     }
@@ -398,130 +407,51 @@ AllocationService::recordPooledFairnessLocked(
 }
 
 void
-AllocationService::recordFairnessLocked(
-    const ServiceSnapshot &previous, const EpochResult &result)
+AllocationService::recordFairnessLocked(const ServiceSnapshot &previous,
+                                        const ServiceSnapshot &current,
+                                        const EpochResult &result)
 {
     if (config_.pooled) {
         recordPooledFairnessLocked(result);
         return;
     }
-    obs::FairnessSample sample;
-    sample.epoch = result.epoch;
-    sample.agents = result.agentNames.size();
-    sample.checked = result.propertiesChecked;
-    if (result.propertiesChecked) {
-        // worstSlack is in log-utility units, so exp() turns it into
-        // the paper's multiplicative margin (>= 1 iff satisfied).
-        sample.siMargin =
-            std::exp(result.sharingIncentives.worstSlack);
-        sample.efMargin = std::exp(result.envyFreeness.worstSlack);
-    }
-    sample.l1Drift = allocationDrift(previous, result);
-    sample.enforced = result.enforcementChanged;
-    sample.maxRelativeChange = result.maxRelativeChange;
-    sample.latencyNs = static_cast<std::uint64_t>(
-        std::max<std::chrono::nanoseconds::rep>(
-            result.latency.count(), 0));
+    obs::FairnessSample sample = epochSample(result);
+    sample.l1Drift = allocationDrift(previous, current);
     series_.append(sample);
     metrics_.setFairnessGauges(sample.siMargin, sample.efMargin,
                                sample.l1Drift);
-    if (!cohorts_.empty() && result.propertiesChecked)
-        appendCohortFairnessLocked(result, sample);
-}
-
-/**
- * One labelled sample per cohort. SI is each member against the
- * equal split C/N; EF is each member against every agent's bundle —
- * the same constraints the global check minimizes, re-minimized over
- * the cohort only, so an honest cohort's margin isolates the damage
- * strategic agents do to everyone else. The logs of the allocation
- * are taken once per epoch; the rest is O(members * N * R)
- * multiply-adds, a full pairwise sweep when cohorts cover the whole
- * population (the global EF check's hull filter does not apply: it
- * only finds the global minimum, not each cohort's).
- */
-void
-AllocationService::appendCohortFairnessLocked(
-    const EpochResult &result, const obs::FairnessSample &base)
-{
-    const std::size_t count = result.agentNames.size();
-    if (count == 0)
-        return;
-    const std::size_t resources = config_.capacity.count();
-
-    // Rescaled elasticities in allocation-row order; rows whose
-    // agent is unlabelled stay null.
-    std::map<std::string, std::vector<std::size_t>> members;
-    std::vector<const linalg::Vector *> rescaled(count, nullptr);
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto labelled = cohorts_.find(result.agentNames[i]);
-        if (labelled == cohorts_.end())
-            continue;
-        members[labelled->second].push_back(i);
-        rescaled[i] = &tree_.agent(result.agentNames[i]).rescaled;
-    }
-    if (members.empty())
-        return;
-
-    // log x_jr of every allocated cell, then of the equal split.
-    std::vector<double> logs((count + 1) * resources);
-    for (std::size_t j = 0; j < count; ++j)
-        for (std::size_t r = 0; r < resources; ++r)
-            logs[j * resources + r] =
-                std::log(result.allocation.at(j, r));
-    for (std::size_t r = 0; r < resources; ++r)
-        logs[count * resources + r] = std::log(
-            config_.capacity.capacity(r) / static_cast<double>(count));
-
-    const auto logUtility = [&](const linalg::Vector &alphas,
-                                std::size_t row) {
-        double log_u = 0;
-        for (std::size_t r = 0; r < resources; ++r)
-            log_u += alphas[r] * logs[row * resources + r];
-        return log_u;
-    };
-
-    for (const auto &[label, rows] : members) {
-        double si_slack = std::numeric_limits<double>::infinity();
-        double ef_slack = std::numeric_limits<double>::infinity();
-        for (const std::size_t i : rows) {
-            const linalg::Vector &alphas = *rescaled[i];
-            const double own = logUtility(alphas, i);
-            const double equal = logUtility(alphas, count);
-            si_slack = std::min(si_slack, own - equal);
-            for (std::size_t j = 0; j < count; ++j) {
-                if (j == i)
-                    continue;
-                const double theirs = logUtility(alphas, j);
-                ef_slack = std::min(ef_slack, own - theirs);
-            }
-        }
-        obs::FairnessSample sample = base;
-        sample.agents = rows.size();
-        sample.siMargin = std::exp(si_slack);
-        // A singleton population has no pairs; margin stays 1.
-        sample.efMargin =
-            std::isinf(ef_slack) ? 1.0 : std::exp(ef_slack);
-        series_.appendLabelled(label, sample);
+    // Each cohort's minima came out of the same SI/EF pass as the
+    // global ones, so they sit on the same scale.
+    for (const CohortCheck &cohort : result.cohorts) {
+        obs::FairnessSample labelled = sample;
+        labelled.agents = cohort.agents;
+        labelled.siMargin = std::exp(cohort.siSlack);
+        // No member has a rival (a population of one): no envy.
+        labelled.efMargin =
+            cohort.efSlack == std::numeric_limits<double>::infinity()
+                ? 1.0
+                : std::exp(cohort.efSlack);
+        series_.appendLabelled(cohort.label, labelled);
     }
 }
 
-void
-AllocationService::publishEpochLocked(const EpochResult &result)
+std::shared_ptr<const ServiceSnapshot>
+AllocationService::publishEpochLocked(EpochResult &result)
 {
     auto next = std::make_shared<ServiceSnapshot>();
     next->epoch = result.epoch;
-    next->agents = result.agentNames;
-    next->seqs = result.agentSeqs;
-    next->allocation = result.allocation;
+    next->agents = std::move(result.agentNames);
+    next->seqs = std::move(result.agentSeqs);
+    // Exchanged, not moved: a moved-from Matrix keeps its shape.
+    next->allocation = std::exchange(result.allocation, {});
     next->propertiesChecked = result.propertiesChecked;
     next->sharingIncentives = result.sharingIncentives;
     next->envyFreeness = result.envyFreeness;
     if (config_.buildEnforcement) {
         if (result.enforcementChanged) {
             next->enforcement = buildEnforcementPlan(
-                result.agentNames, result.allocation,
-                config_.capacity, config_.associativity);
+                next->agents, next->allocation, config_.capacity,
+                config_.associativity);
             next->enforcement.epoch = result.epoch;
         } else {
             // Hysteresis hold: enforcement keeps running the plan of
@@ -529,7 +459,8 @@ AllocationService::publishEpochLocked(const EpochResult &result)
             next->enforcement = snapshot()->enforcement;
         }
     }
-    publish(std::move(next));
+    publish(next);
+    return next;
 }
 
 std::shared_ptr<const ServiceSnapshot>
@@ -660,10 +591,9 @@ AllocationService::captureReplicationSnapshot(
 void
 AllocationService::resetRuntimeLocked()
 {
-    tree_ = pool::PoolTree(config_.capacity, config_.poolShards);
+    tree_ = pool::PoolTree(config_.capacity);
     driver_ = EpochDriver(tree_, config_.epoch, config_.pooled);
     lastPoolShares_.clear();
-    cohorts_.clear();
     publish(std::make_shared<const ServiceSnapshot>());
 }
 
@@ -755,7 +685,7 @@ AllocationService::applyRecordLocked(const JournalRecord &record)
         tree_.assign(record.name, record.pool);
         break;
     case JournalRecord::Type::Tick: {
-        const EpochResult result = driver_.tick();
+        EpochResult result = driver_.tick();
         // The journal only holds accepted operations, so replay is
         // deterministic; a mismatched epoch means the wal and the
         // process disagree about history — refuse to guess.

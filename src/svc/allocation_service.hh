@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -67,8 +66,6 @@ struct ServiceConfig
      * enforcement off (incompatible with lazy shares).
      */
     bool pooled = false;
-    /** Leaf-registry hash shards for the pool tree. */
-    std::size_t poolShards = 8;
 };
 
 /** Immutable view of the service after some epoch. */
@@ -120,7 +117,11 @@ class AllocationService
                 const linalg::Vector &elasticities);
     ///@}
 
-    /** Advance one epoch, publish a fresh snapshot. */
+    /**
+     * Advance one epoch, publish a fresh snapshot. The rows (names,
+     * seqs, allocation) move into that snapshot, so the returned
+     * result holds none: read them from snapshot().
+     */
     EpochResult tick();
 
     /** @name Pooled mode (throw unless config.pooled). */
@@ -146,13 +147,16 @@ class AllocationService
 
     /** @name Fairness cohorts (flat mode only).
      *
-     * A cohort is an observability-only label over live agents: each
-     * checked epoch additionally appends one labelled fairness
-     * sample per cohort, whose SI margin is the minimum over the
-     * cohort's members (vs the equal split) and whose EF margin is
-     * the minimum over the cohort's members against the whole
-     * population. This is how the adversary fleet reads honest-agent
-     * damage separately from the liars' own series. Labels are not
+     * A cohort is an observability-only label in the pool tree's
+     * agent record: each checked epoch additionally appends one
+     * labelled fairness sample per cohort, whose SI margin is the
+     * minimum over the cohort's members (vs the equal split) and
+     * whose EF margin is the minimum over the cohort's members
+     * against the whole population. Both come out of the epoch's own
+     * SI/EF checks over the reported elasticities, so a cohort of
+     * every agent reads exactly the "_total" margins. This is how
+     * the adversary fleet reads honest-agent damage separately from
+     * the liars' own series. Labels are not
      * journaled, not replicated, and excluded from stateHash();
      * departure drops the departing agent's label. */
     ///@{
@@ -264,8 +268,10 @@ class AllocationService
 
   private:
     void publish(std::shared_ptr<const ServiceSnapshot> next);
-    /** Build + publish the post-tick snapshot (tick and replay). */
-    void publishEpochLocked(const EpochResult &result);
+    /** Build + publish the post-tick snapshot (tick and replay),
+     *  moving @p result's rows into it. Returns the snapshot. */
+    std::shared_ptr<const ServiceSnapshot>
+    publishEpochLocked(EpochResult &result);
     /** Recover snapshot + wal from the journal directory. */
     void recoverLocked();
     /** Restore @p state into tree/driver + publish. */
@@ -288,19 +294,15 @@ class AllocationService
     ServiceState captureStateLocked() const;
     /** Mirror live journal/recovery state into the registry. */
     void refreshRegistryLocked() const;
-    /** Append the epoch's fairness sample and update the gauges. */
+    /** Append the epoch's fairness sample (and one per cohort) and
+     *  update the gauges; @p current holds the epoch's rows. */
     void recordFairnessLocked(const ServiceSnapshot &previous,
+                              const ServiceSnapshot &current,
                               const EpochResult &result);
     /** Pooled variant: global + per-pool labelled samples, with
      *  drift computed over pool share fractions (O(pools), never
      *  O(agents)). */
     void recordPooledFairnessLocked(const EpochResult &result);
-    /** Flat-mode cohorts: one labelled sample per cohort with the
-     *  cohort's own worst SI/EF margins (members vs the whole
-     *  population). Only runs when cohorts exist and this epoch's
-     *  properties were checked. */
-    void appendCohortFairnessLocked(const EpochResult &result,
-                                    const obs::FairnessSample &base);
 
     ServiceConfig config_;
     mutable std::mutex writeMutex_;  //!< Serializes churn and ticks.
@@ -312,9 +314,6 @@ class AllocationService
     /** Last epoch's per-pool share fractions, indexed by pool
      *  creation order (pools are append-only), for pooled drift. */
     std::vector<linalg::Vector> lastPoolShares_;
-    /** Agent -> cohort label (flat mode, observability only; sorted
-     *  so per-epoch labelled appends iterate deterministically). */
-    std::map<std::string, std::string> cohorts_;
 
     std::unique_ptr<Journal> journal_;  //!< Null when disabled.
     RecoveryInfo recovery_;

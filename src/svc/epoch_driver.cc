@@ -98,7 +98,7 @@ EpochDriver::tick()
                              tree_->size() <= kPooledPropertyCheckCap &&
                              tree_->allUnitGains();
     if (!tree_->empty() && (!pooled_ || checkPooled)) {
-        pool::DenseRows rows;
+        pool::DenseRows &rows = rows_;
         tree_->allocateDense(rows);
         result.phases.allocate = lap();
 
@@ -113,8 +113,11 @@ EpochDriver::tick()
         }
 
         if (config_.checkProperties) {
+            std::vector<double> si_slack;
+            std::vector<double> ef_slack;
             result.sharingIncentives = core::checkSharingIncentives(
-                rows.view(), tree_->capacity(), config_.tolerance);
+                rows.view(), tree_->capacity(), config_.tolerance,
+                &si_slack);
             result.phases.sharingIncentives = lap();
             // Other rows than last epoch's: start the sort cold.
             if (rows.seqs != hullSeqs_) {
@@ -123,9 +126,13 @@ EpochDriver::tick()
             }
             result.envyFreeness = core::checkEnvyFreeness(
                 rows.view(), config_.tolerance, &result.envyWork,
-                &hullOrder_);
+                &hullOrder_, &ef_slack);
             result.phases.envyFreeness = lap();
             result.propertiesChecked = true;
+            for (std::size_t k = 0; k < rows.cohorts.size(); ++k)
+                result.cohorts.push_back(
+                    {std::move(rows.cohorts[k].first),
+                     rows.cohorts[k].second, si_slack[k], ef_slack[k]});
         }
 
         if (!pooled_) {

@@ -91,6 +91,16 @@ struct TickPhases
     ///@}
 };
 
+/** One cohort's minimum SI/EF slacks, from the epoch's own checks. */
+struct CohortCheck
+{
+    std::string label;
+    std::uint64_t agents = 0;
+    double siSlack = 0.0;
+    /** +inf when no member has a rival (a population of one). */
+    double efSlack = 0.0;
+};
+
 /** Outcome of one epoch tick. */
 struct EpochResult
 {
@@ -125,6 +135,9 @@ struct EpochResult
     core::PropertyCheck envyFreeness;
     /** Rows the EF check evaluated pair by pair (0 when unchecked). */
     core::EnvyCheckStats envyWork;
+    /** Per cohort, in label order, when the properties were checked
+     *  and some agent is labelled. */
+    std::vector<CohortCheck> cohorts;
     bool propertiesChecked = false;
     /** Wall time spent computing this tick. */
     std::chrono::nanoseconds latency{0};
@@ -203,6 +216,9 @@ class EpochDriver
      *  its sort from that order. */
     std::vector<std::size_t> hullOrder_;
     std::vector<std::uint64_t> hullSeqs_;
+    /** The dense rows, refilled in place: fresh buffers every tick
+     *  made glibc trim the heap top and fault it back in. */
+    pool::DenseRows rows_;
 };
 
 } // namespace ref::svc

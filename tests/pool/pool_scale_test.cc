@@ -4,8 +4,8 @@
  * socket bench (scripts/bench_pool_scale.sh), small enough for
  * ctest. Two claims:
  *
- *  - the tree's three-way ExactSum self-check (incremental root vs
- *    shard merge vs scratch rebuild, plus the bitwise dense compare)
+ *  - the tree's ExactSum self-check (incremental root vs scratch
+ *    rebuild, plus the bitwise dense compare)
  *    holds at 100k agents across 64 pools, and
  *  - pooled TICK latency is bounded and sublinear in the population:
  *    a tick re-aggregates only changed root-to-leaf paths, so 100x
@@ -37,8 +37,7 @@ poolName(std::size_t index)
 TEST(PoolScale, SelfCheckHoldsAtHundredThousandAgents)
 {
     pool::PoolTree tree(
-        core::SystemCapacity::fromCapacities({24.0, 12.0}),
-        /*shards=*/16);
+        core::SystemCapacity::fromCapacities({24.0, 12.0}));
     for (std::size_t j = 0; j < kPools; ++j)
         tree.createPool(poolName(j), 1.0);
 

@@ -76,10 +76,14 @@ TEST(AllocationService, TickPublishesAllocationAndEnforcement)
     service.admit("user2", {0.2, 0.8});
     const auto result = service.tick();
     EXPECT_EQ(result.epoch, 1u);
+    // The rows moved into the snapshot; the result keeps none.
+    EXPECT_TRUE(result.agentNames.empty());
+    EXPECT_EQ(result.allocation.agents(), 0u);
 
     const auto snapshot = service.snapshot();
     EXPECT_EQ(snapshot->epoch, 1u);
     ASSERT_EQ(snapshot->agents.size(), 2u);
+    EXPECT_EQ(snapshot->seqs.size(), 2u);
     EXPECT_NEAR(snapshot->allocation.at(0, 0), 18.0, 1e-12);
     ASSERT_TRUE(snapshot->enforcement.hasPartition);
     EXPECT_EQ(snapshot->enforcement.epoch, 1u);
@@ -99,6 +103,54 @@ TEST(AllocationService, SnapshotIsImmutableUnderLaterChurn)
     EXPECT_EQ(before->epoch, 1u);
     EXPECT_EQ(before->agents.size(), 1u);
     EXPECT_EQ(service.snapshot()->agents.size(), 2u);
+}
+
+TEST(AllocationService, CohortOfEveryAgentMatchesTheTotalBitForBit)
+{
+    // Reports that do not sum to one: the cohort margins come from
+    // the epoch's own checks over the reported elasticities, exactly
+    // as the "_total" margins do.
+    AllocationService service;
+    service.admit("a", {2.0, 1.0});
+    service.admit("b", {1.0, 3.0});
+    service.admit("c", {0.5, 0.5});
+    for (const char *name : {"a", "b", "c"})
+        service.setCohort(name, "all");
+    service.tick();
+    const auto total = service.fairnessSeries().samples();
+    const auto all = service.fairnessSeries().labelledSamples("all");
+    ASSERT_EQ(total.size(), 1u);
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].agents, 3u);
+    EXPECT_EQ(std::memcmp(&all[0].siMargin, &total[0].siMargin,
+                          sizeof(double)),
+              0)
+        << all[0].siMargin << " vs " << total[0].siMargin;
+    EXPECT_EQ(std::memcmp(&all[0].efMargin, &total[0].efMargin,
+                          sizeof(double)),
+              0)
+        << all[0].efMargin << " vs " << total[0].efMargin;
+    EXPECT_EQ(total[0].efMargin, 1.0606601717798214);
+}
+
+TEST(AllocationService, CohortLabelsLeaveWithTheirAgents)
+{
+    AllocationService service;
+    service.admit("a", {0.6, 0.4});
+    service.admit("b", {0.2, 0.8});
+    EXPECT_FALSE(service.hasCohorts());
+    service.setCohort("a", "gold");
+    service.setCohort("a", "silver");  // Relabel: gold has no member.
+    EXPECT_TRUE(service.hasCohorts());
+    service.tick();
+    EXPECT_TRUE(service.fairnessSeries().labelledSamples("gold").empty());
+    EXPECT_EQ(service.fairnessSeries().labelledSamples("silver").size(),
+              1u);
+    service.depart("a");
+    EXPECT_FALSE(service.hasCohorts());
+    service.tick();
+    EXPECT_EQ(service.fairnessSeries().labelledSamples("silver").size(),
+              1u);
 }
 
 TEST(AllocationService, HysteresisCarriesEnforcementForward)

@@ -3,11 +3,17 @@
  * root-only pool tree): after ANY sequence of admits, departs and
  * updates, allocateDense() must be byte-identical to the
  * from-scratch ProportionalElasticityMechanism recompute, and the
- * allocation must satisfy the REF fairness properties. Randomized
- * but fully deterministic (fixed seeds).
+ * allocation must satisfy the REF fairness properties. Agents also
+ * join, change and leave cohorts along the way: the rows must carry
+ * each agent's label, and each cohort's SI/EF minima must equal a
+ * pairwise loop over its members. Randomized but fully deterministic
+ * (fixed seeds).
  */
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,7 +34,7 @@ class ChurnModel
   public:
     explicit ChurnModel(std::uint32_t seed)
         : tree_(core::SystemCapacity::cacheAndBandwidthExample()),
-          rng_(seed)
+          rng_(seed), labelRng_(seed + 1)
     {
     }
 
@@ -57,8 +63,18 @@ class ChurnModel
                 0, live_.size() - 1);
             const std::size_t victim = pick(rng_);
             tree_.depart(live_[victim]);
+            cohorts_.erase(live_[victim]);
             live_.erase(live_.begin() +
                         static_cast<std::ptrdiff_t>(victim));
+        }
+        // Labels draw from their own stream, so the churn above is
+        // the same with or without them.
+        const std::size_t label = labelRng_() % 6;
+        if (label < 3 && !live_.empty()) {
+            const std::string &name = live_[labelRng_() % live_.size()];
+            const char *labels[] = {"gold", "silver", "bronze"};
+            tree_.setCohort(name, labels[label]);
+            cohorts_[name] = labels[label];
         }
     }
 
@@ -67,22 +83,53 @@ class ChurnModel
     /** Live names in admission order. */
     const std::vector<std::string> &live() const { return live_; }
 
+    /** Live agent -> cohort label, for labelled agents. */
+    const std::map<std::string, std::string> &cohorts() const
+    {
+        return cohorts_;
+    }
+
   private:
     PoolTree tree_;
     std::mt19937 rng_;
+    std::mt19937 labelRng_;
     std::vector<std::string> live_;
+    std::map<std::string, std::string> cohorts_;
     std::uint64_t nextId_ = 0;
 };
 
 /**
  * The tree's dense rows against the tree itself: one row per live
- * agent in admission order, with its name, seq and reported
- * elasticities.
+ * agent in admission order, with its name, seq, reported
+ * elasticities and cohort.
  */
 void
 expectRowsMatchTree(const PoolTree &tree, const pool::DenseRows &rows,
-                    const std::vector<std::string> &live)
+                    const std::vector<std::string> &live,
+                    const std::map<std::string, std::string> &cohorts)
 {
+    // Label ids follow label order; each label lists its members.
+    std::map<std::string, std::size_t> members;
+    for (const auto &[name, label] : cohorts)
+        ++members[label];
+    ASSERT_EQ(rows.cohorts.size(), members.size());
+    std::size_t id = 0;
+    for (const auto &[label, count] : members) {
+        EXPECT_EQ(rows.cohorts[id].first, label);
+        EXPECT_EQ(rows.cohorts[id].second, count);
+        ++id;
+    }
+    ASSERT_EQ(rows.labels.size(), cohorts.empty() ? 0 : live.size());
+    for (std::size_t i = 0; i < rows.labels.size(); ++i) {
+        const auto found = cohorts.find(live[i]);
+        if (found == cohorts.end())
+            EXPECT_EQ(rows.labels[i], core::kNoLabel) << live[i];
+        else
+            EXPECT_EQ(rows.cohorts.at(rows.labels[i]).first,
+                      found->second)
+                << live[i];
+    }
+
     ASSERT_EQ(rows.names, live);
     ASSERT_EQ(rows.seqs.size(), live.size());
     ASSERT_EQ(rows.allocation.agents(), live.size());
@@ -135,7 +182,8 @@ TEST(ChurnProperty, IncrementalMatchesScratchAfterAnyChurn)
             expectMatchesScratch(model.tree());
             pool::DenseRows rows;
             model.tree().allocateDense(rows);
-            expectRowsMatchTree(model.tree(), rows, model.live());
+            expectRowsMatchTree(model.tree(), rows, model.live(),
+                                model.cohorts());
         }
     }
 }
@@ -178,14 +226,54 @@ TEST(ChurnProperty, AllocationsStayFairUnderChurn)
                   0)
             << "step " << step;
         EXPECT_EQ(ef.binding, pairwise.binding) << "step " << step;
-        const auto ef_rows =
-            core::checkEnvyFreeness(rows.view(), tolerance);
+        std::vector<double> ef_labels;
+        const auto ef_rows = core::checkEnvyFreeness(
+            rows.view(), tolerance, nullptr, nullptr, &ef_labels);
         EXPECT_EQ(std::memcmp(&ef.worstSlack, &ef_rows.worstSlack,
                               sizeof(double)),
                   0)
             << "step " << step;
         EXPECT_EQ(ef.binding, ef_rows.binding) << "step " << step;
+
+        // Each cohort's minima against the pairwise loop over its
+        // members and the reported elasticities.
+        std::vector<double> si_labels;
+        core::checkSharingIncentives(rows.view(), tree.capacity(),
+                                     tolerance, &si_labels);
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        std::vector<double> si_oracle(rows.cohorts.size(), kInf);
+        std::vector<double> ef_oracle(rows.cohorts.size(), kInf);
+        const linalg::Vector equal =
+            tree.capacity().equalShare(agents.size());
+        for (std::size_t i = 0; i < rows.labels.size(); ++i) {
+            if (rows.labels[i] == core::kNoLabel)
+                continue;
+            const auto &utility = agents[i].utility();
+            const double own =
+                utility.logValue(allocation.agentShare(i));
+            si_oracle[rows.labels[i]] =
+                std::min(si_oracle[rows.labels[i]],
+                         own - utility.logValue(equal));
+            for (std::size_t j = 0; j < agents.size(); ++j)
+                if (j != i)
+                    ef_oracle[rows.labels[i]] = std::min(
+                        ef_oracle[rows.labels[i]],
+                        own - utility.logValue(allocation.agentShare(j)));
+        }
+        ASSERT_EQ(si_labels.size(), si_oracle.size());
+        ASSERT_EQ(ef_labels.size(), ef_oracle.size());
+        for (std::size_t k = 0; k < si_oracle.size(); ++k) {
+            EXPECT_EQ(std::memcmp(&si_labels[k], &si_oracle[k],
+                                  sizeof(double)),
+                      0)
+                << "step " << step << " cohort " << k;
+            EXPECT_EQ(std::memcmp(&ef_labels[k], &ef_oracle[k],
+                                  sizeof(double)),
+                      0)
+                << "step " << step << " cohort " << k;
+        }
     }
+    EXPECT_FALSE(model.cohorts().empty());
 }
 
 // The extreme case for an accumulator: agents whose elasticities span

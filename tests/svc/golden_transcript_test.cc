@@ -14,6 +14,12 @@
  *               s/^(([^,]+,)?[0-9]+,[0-9]+,[01],[^,]*,[^,]*,[^,]*,[01],[^,]*,)[0-9]+\$/\1X/" \
  *     > tests/svc/data/flat_session.golden
  *
+ * Its cohort rows for "honest" at epochs 8 to 15 were re-recorded
+ * with the same command when cohort margins moved onto the reported
+ * elasticities (the "_total" scale): those epochs' honest members
+ * reported elasticities that do not sum to one. Every other line is
+ * the earlier build's.
+ *
  * The sed masks what differs between any two runs or builds: the
  * source location (file:line and failed condition) in front of each
  * ERR reason, the epoch latency lines of STATS and the latency_ns

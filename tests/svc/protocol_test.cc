@@ -89,6 +89,20 @@ TEST(Protocol, ErrRepliesKeepSessionAlive)
     EXPECT_EQ(service.metrics().rejected, 7u);
 }
 
+TEST(Protocol, ErrorRepliesNameSourceFilesRelativeToTheTree)
+{
+    // REF_REQUIRE puts file:line in front of the reason. The file is
+    // named from the source tree's root, so two checkouts of the same
+    // code answer byte for byte alike.
+    AllocationService service;
+    std::string output;
+    run(service, "FROB\n", output);
+    EXPECT_NE(output.find("ERR fatal: src/svc/protocol.cc:"),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(output.find(REF_SOURCE_DIR), std::string::npos) << output;
+}
+
 TEST(Protocol, QueryBeforeFirstTickSeesEmptySnapshot)
 {
     AllocationService service;

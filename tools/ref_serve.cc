@@ -7,7 +7,7 @@
  *
  * Usage:
  *   ref_serve [--capacity C0,C1] [--hysteresis H] [--assoc N]
- *             [--pooled] [--pool-shards N]
+ *             [--pooled]
  *             [--journal DIR] [--fsync-every N] [--snapshot-every N]
  *             [--fsync-policy every:N|group:BYTES,USEC]
  *             [--selfcheck] [--strict] [--echo] [--file PATH]
@@ -151,7 +151,6 @@ struct CliOptions
     int promoteTimeoutMs = 0;   //!< 0: explicit PROMOTE only.
     int heartbeatIntervalMs = 1000;
     unsigned associativity = 16;
-    std::size_t poolShards = 8;
     bool pooled = false;
     bool selfcheck = false;
     bool strict = false;
@@ -166,7 +165,7 @@ usage(const char *argv0, const std::string &error = "")
     std::cerr
         << "usage: " << argv0
         << " [--capacity C0,C1] [--hysteresis H] [--assoc N]\n"
-           "          [--pooled] [--pool-shards N]\n"
+           "          [--pooled]\n"
            "          [--journal DIR] [--fsync-every N] "
            "[--snapshot-every N]\n"
            "          [--fsync-policy every:N|group:BYTES,USEC]\n"
@@ -204,7 +203,7 @@ usage(const char *argv0, const std::string &error = "")
            "one protocol line. --pooled runs the hierarchical pool\n"
            "tree (POOL CREATE/ASSIGN/QUERY; epochs stay O(changed\n"
            "paths), QUERY answers from the live tree, enforcement\n"
-           "off); --pool-shards N sets its leaf-registry shards.\n"
+           "off).\n"
            "--fsync-policy group:BYTES,USEC batches journal fsyncs\n"
            "(group commit): a batch commits when it reaches BYTES\n"
            "or its oldest record ages USEC microseconds, and socket\n"
@@ -335,11 +334,6 @@ parseArgs(int argc, char **argv)
                 parseNumber(argv[0], arg, next()));
         } else if (arg == "--pooled") {
             options.pooled = true;
-        } else if (arg == "--pool-shards") {
-            options.poolShards = static_cast<std::size_t>(
-                parseNumber(argv[0], arg, next()));
-            if (options.poolShards == 0)
-                usage(argv[0], "--pool-shards must be positive");
         } else if (arg == "--selfcheck") {
             options.selfcheck = true;
         } else if (arg == "--strict") {
@@ -384,7 +378,6 @@ main(int argc, char **argv)
         config.buildEnforcement =
             !options.pooled && config.capacity.count() == 2;
         config.pooled = options.pooled;
-        config.poolShards = options.poolShards;
         config.journal.directory = options.journalDir;
         config.journal.fsyncEvery = options.fsyncEvery;
         config.journal.groupBytes = options.groupBytes;
