@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Transcript determinism for the strategic fleet: the same seed must
 # produce byte-identical ref_adversary stdout across the text and
-# binary framings and across server shard counts (1 and 4). That is
-# the contract that makes the committed strategy-proofness bench
-# reproducible: elasticities are a pure function of (seed, index),
-# QUERY reads the published epoch snapshot, and the mechanism's
-# allocation is order-independent, so nothing about transport or
-# shard interleaving may leak into the measurement.
+# binary framings on one server. That is the contract that makes the
+# committed strategy-proofness bench reproducible: elasticities are a
+# pure function of (seed, index), QUERY reads the published epoch
+# snapshot, and the mechanism's allocation is order-independent, so
+# nothing about transport or connection interleaving may leak into
+# the measurement.
 set -u
 
 REF_SERVE=${1:?usage: adversary_determinism.sh <ref_serve> <ref_adversary> <workdir> [sweep] [seed]}
@@ -28,21 +28,20 @@ fail() {
 }
 
 start_server() {
-    # $1: shard count, $2: stderr log name.
     "$REF_SERVE" --capacity 24,12 --selfcheck --strict \
-        --listen 127.0.0.1:0 --shards "$1" \
-        > "$WORKDIR/server.out" 2> "$WORKDIR/$2" &
+        --listen 127.0.0.1:0 \
+        > "$WORKDIR/server.out" 2> "$WORKDIR/server.err" &
     SRV=$!
     PORT=
     for _ in $(seq 1 100); do
         PORT=$(sed -n \
             's/^LISTENING .*addr=[^ ]*:\([0-9][0-9]*\).*$/\1/p' \
-            "$WORKDIR/$2" 2>/dev/null)
+            "$WORKDIR/server.err" 2>/dev/null)
         [ -n "$PORT" ] && break
         kill -0 "$SRV" 2>/dev/null || fail "server died on startup"
         sleep 0.05
     done
-    [ -n "$PORT" ] || fail "no LISTENING line in $2"
+    [ -n "$PORT" ] || fail "no LISTENING line in server.err"
 }
 
 stop_server() {
@@ -61,27 +60,20 @@ run_fleet() {
         fail "ref_adversary failed for $out"
 }
 
-# One server per shard count; both framings share each server (the
-# fleet departs its agents, so runs are independent).
-start_server 1 server1.err
-run_fleet text_1shard.json
-run_fleet binary_1shard.json --binary
+# Both framings share one server (the fleet departs its agents, so
+# runs are independent).
+start_server
+run_fleet text.json
+run_fleet binary.json --binary
 stop_server
 
-start_server 4 server4.err
-run_fleet text_4shard.json
-run_fleet binary_4shard.json --binary
-stop_server
+cmp -s "$WORKDIR/text.json" "$WORKDIR/binary.json" ||
+    fail "binary.json differs from text.json"
 
-for variant in binary_1shard text_4shard binary_4shard; do
-    cmp -s "$WORKDIR/text_1shard.json" "$WORKDIR/$variant.json" ||
-        fail "$variant.json differs from text_1shard.json"
-done
-
-RECORDS=$(wc -l < "$WORKDIR/text_1shard.json")
+RECORDS=$(wc -l < "$WORKDIR/text.json")
 EXPECTED=$(echo "$SWEEP" | tr ',' '\n' | wc -l)
 [ "$RECORDS" -eq "$EXPECTED" ] ||
     fail "expected $EXPECTED records, got $RECORDS"
 
 echo "ok: $RECORDS records byte-identical across" \
-    "text/binary x 1/4 shards (sweep $SWEEP, seed $SEED)"
+    "text/binary framing (sweep $SWEEP, seed $SEED)"

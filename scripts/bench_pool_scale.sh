@@ -39,10 +39,9 @@ fail() {
 }
 
 start_server() {
-    # $1: stderr log name. One event-loop shard: the run measures
-    # tree cost, not transport fan-out (bench_socket.sh covers that).
+    # $1: stderr log name.
     "$REF_SERVE" --capacity 24,12 --pooled --listen 127.0.0.1:0 \
-        --shards 1 --max-clients 16 \
+        --max-clients 16 \
         > "$WORKDIR/server.out" 2> "$WORKDIR/$1" &
     SRV=$!
     PORT=

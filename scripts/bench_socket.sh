@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Socket transport benchmark matrix: ref_bomb drives ref_serve over
-# {text, binary} x {1, N} shards on loopback, producing two BENCH
-# artifacts in --out-dir:
+# Socket transport benchmark matrix: ref_bomb drives one ref_serve
+# event loop over {text, binary} framing on loopback, closed and open
+# loop, producing two BENCH artifacts in out_dir:
 #
 #   BENCH_socket_throughput.json  closed-loop runs (max throughput)
 #   BENCH_socket_latency.json     open-loop runs at a fixed rate
@@ -13,14 +13,13 @@
 set -u
 
 usage="usage: bench_socket.sh <ref_serve> <ref_bomb> <workdir> \
-[shards] [connections] [ops_per_conn] [out_dir]"
+[connections] [ops_per_conn] [out_dir]"
 REF_SERVE=${1:?$usage}
 REF_BOMB=${2:?$usage}
 WORKDIR=${3:?$usage}
-SHARDS=${4:-4}
-CONNECTIONS=${5:-8}
-OPS=${6:-4000}
-OUT_DIR=${7:-$WORKDIR}
+CONNECTIONS=${4:-8}
+OPS=${5:-4000}
+OUT_DIR=${6:-$WORKDIR}
 
 rm -rf "$WORKDIR"
 mkdir -p "$WORKDIR" "$OUT_DIR"
@@ -34,21 +33,21 @@ fail() {
 }
 
 start_server() {
-    # $1: shard count, $2: stderr log name.
+    # $1: stderr log name.
     "$REF_SERVE" --capacity 24,12 --listen 127.0.0.1:0 \
-        --shards "$1" --max-clients 64 \
-        > "$WORKDIR/server.out" 2> "$WORKDIR/$2" &
+        --max-clients 64 \
+        > "$WORKDIR/server.out" 2> "$WORKDIR/$1" &
     SRV=$!
     PORT=
     for _ in $(seq 1 100); do
         PORT=$(sed -n \
             's/^LISTENING .*addr=[^ ]*:\([0-9][0-9]*\).*$/\1/p' \
-            "$WORKDIR/$2" 2>/dev/null)
+            "$WORKDIR/$1" 2>/dev/null)
         [ -n "$PORT" ] && break
         kill -0 "$SRV" 2>/dev/null || fail "server died on startup"
         sleep 0.05
     done
-    [ -n "$PORT" ] || fail "no LISTENING line in $2"
+    [ -n "$PORT" ] || fail "no LISTENING line in $1"
 }
 
 stop_server() {
@@ -70,10 +69,9 @@ bomb() {
         fail "ref_bomb run '$name' failed"
 }
 
-# Open-loop rate: modest enough to be sustainable in every
-# configuration even on a small single-core runner (closed-loop
-# capacity there is ~1.8k ops/s), so the percentiles measure queueing
-# behaviour rather than saturation collapse.
+# Open-loop rate: modest enough to be sustainable even on a small
+# single-core runner, so the percentiles measure queueing behaviour
+# rather than saturation collapse.
 RATE=$((CONNECTIONS * 150))
 
 # Transport-focused mix: mostly UPDATE/QUERY round-trips with a
@@ -86,28 +84,20 @@ one_run() {
     # Each measurement gets a fresh server: accumulated agents make
     # later epochs costlier, which would bias whichever configuration
     # runs last.
-    local shards=$1 name=$2 out=$3
-    shift 3
-    start_server "$shards" "server_$name.err"
+    local name=$1 out=$2
+    shift 2
+    start_server "server_$name.err"
     bomb "$name" "$out" --mix "$MIX" "$@"
     stop_server
 }
 
-run_matrix() {
-    # $1: shard count, $2: record suffix.
-    one_run "$1" "socket_text_$2" "$WORKDIR/tput_text_$2.json" \
-        --mode closed --window 8
-    one_run "$1" "socket_binary_$2" "$WORKDIR/tput_binary_$2.json" \
-        --mode closed --window 8 --binary
-    one_run "$1" "socket_latency_text_$2" \
-        "$WORKDIR/lat_text_$2.json" --mode open --rate "$RATE"
-    one_run "$1" "socket_latency_binary_$2" \
-        "$WORKDIR/lat_binary_$2.json" --mode open --rate "$RATE" \
-        --binary
-}
-
-run_matrix 1 1shard
-run_matrix "$SHARDS" "${SHARDS}shard"
+one_run socket_text "$WORKDIR/tput_text.json" --mode closed --window 8
+one_run socket_binary "$WORKDIR/tput_binary.json" \
+    --mode closed --window 8 --binary
+one_run socket_latency_text "$WORKDIR/lat_text.json" \
+    --mode open --rate "$RATE"
+one_run socket_latency_binary "$WORKDIR/lat_binary.json" \
+    --mode open --rate "$RATE" --binary
 
 join_records() {
     # Join one-record JSON files into a pretty-printed array.
@@ -120,16 +110,10 @@ EOF
 }
 
 join_records "$OUT_DIR/BENCH_socket_throughput.json" \
-    "$WORKDIR/tput_text_1shard.json" \
-    "$WORKDIR/tput_binary_1shard.json" \
-    "$WORKDIR/tput_text_${SHARDS}shard.json" \
-    "$WORKDIR/tput_binary_${SHARDS}shard.json" ||
+    "$WORKDIR/tput_text.json" "$WORKDIR/tput_binary.json" ||
     fail "could not assemble throughput records"
 join_records "$OUT_DIR/BENCH_socket_latency.json" \
-    "$WORKDIR/lat_text_1shard.json" \
-    "$WORKDIR/lat_binary_1shard.json" \
-    "$WORKDIR/lat_text_${SHARDS}shard.json" \
-    "$WORKDIR/lat_binary_${SHARDS}shard.json" ||
+    "$WORKDIR/lat_text.json" "$WORKDIR/lat_binary.json" ||
     fail "could not assemble latency records"
 
 SCRIPTS_DIR=$(cd "$(dirname "$0")" && pwd)
@@ -140,4 +124,4 @@ python3 "$SCRIPTS_DIR/export_bench_timings.py" --check \
 
 echo "ok: $OUT_DIR/BENCH_socket_throughput.json and" \
     "$OUT_DIR/BENCH_socket_latency.json" \
-    "($CONNECTIONS connections, $OPS ops/conn, shards 1 and $SHARDS)"
+    "($CONNECTIONS connections, $OPS ops/conn)"

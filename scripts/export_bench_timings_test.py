@@ -19,9 +19,9 @@ def write(directory, name, payload):
     return path
 
 
-GOOD = {"name": "socket_text_1shard", "wall_ns": 51234.5,
+GOOD = {"name": "socket_text", "wall_ns": 51234.5,
         "iterations": 8000}
-GOOD_FULL = {"name": "socket_binary_4shard", "wall_ns": 9876.0,
+GOOD_FULL = {"name": "socket_binary", "wall_ns": 9876.0,
              "iterations": 64000, "ops_per_sec": 101234.2,
              "p50_ns": 8000, "p90_ns": 15000, "p99_ns": 40000}
 GOOD_POOLED = {**GOOD_FULL, "name": "pool_scale_P100000",

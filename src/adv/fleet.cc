@@ -187,9 +187,9 @@ runFleet(const FleetOptions &options)
             break;
         }
         // 2. Interleaved re-reports: every moved liar's UPDATE goes
-        // out before any reply is read, so on a sharded server the
-        // writes genuinely race across shard threads; the mechanism
-        // is order-independent, so the outcome is not.
+        // out before any reply is read, so the writes race across
+        // connections; the mechanism is order-independent, so the
+        // outcome does not.
         for (std::size_t k = 0; k < options.liars; ++k) {
             if (!moved[k])
                 continue;

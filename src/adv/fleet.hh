@@ -18,8 +18,8 @@
  * drawn per agent index, all QUERYs read the published epoch
  * snapshot (stable between TICKs), and the mechanism's allocation is
  * order-independent — so the report is byte-stable across text vs
- * binary framing and across server shard counts, which is exactly
- * what the determinism test asserts.
+ * binary framing, which is exactly what the determinism test
+ * asserts.
  */
 
 #ifndef REF_ADV_FLEET_HH

@@ -12,6 +12,7 @@
 #define REF_LINALG_MATRIX_HH
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace ref::linalg {
@@ -25,6 +26,28 @@ class Matrix
   public:
     /** Empty 0x0 matrix. */
     Matrix() = default;
+
+    Matrix(const Matrix &) = default;
+    Matrix &operator=(const Matrix &) = default;
+
+    /** Moves leave the source an empty 0x0 matrix, so its shape
+     *  never outlives its storage. */
+    Matrix(Matrix &&other) noexcept
+        : rows_(std::exchange(other.rows_, 0)),
+          cols_(std::exchange(other.cols_, 0)),
+          data_(std::move(other.data_))
+    {}
+
+    Matrix &operator=(Matrix &&other) noexcept
+    {
+        if (this != &other) {
+            rows_ = std::exchange(other.rows_, 0);
+            cols_ = std::exchange(other.cols_, 0);
+            data_ = std::move(other.data_);
+            other.data_.clear();
+        }
+        return *this;
+    }
 
     /** rows x cols matrix, zero-initialized. */
     Matrix(std::size_t rows, std::size_t cols);

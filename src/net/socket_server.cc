@@ -57,10 +57,8 @@ setNonBlocking(int fd)
 } // namespace
 
 /**
- * Per-shard handles into the process-wide registry; get-or-create,
- * so several single-shard servers in one process share the unlabeled
- * series (the pre-shard behaviour), while a multi-shard server gives
- * each shard its own {shard="i"}-labelled series.
+ * Handles into the process-wide registry; get-or-create, so several
+ * servers in one process (tests) share the same ref_net_* series.
  */
 struct SocketServer::Metrics
 {
@@ -77,58 +75,45 @@ struct SocketServer::Metrics
     obs::Counter &binaryConnections;
     obs::Gauge &active;
 
-    static std::string series(const char *base,
-                              const std::string &label)
-    {
-        return base + label;
-    }
-
-    Metrics(std::size_t shardIndex, std::size_t shardCount)
-        : Metrics(shardCount > 1
-                      ? "{shard=\"" + std::to_string(shardIndex) +
-                            "\"}"
-                      : std::string())
-    {}
-
-    explicit Metrics(const std::string &label)
+    Metrics()
         : accepted(obs::MetricsRegistry::global().counter(
-              series("ref_net_accepted_total", label),
+              "ref_net_accepted_total",
               "Client connections accepted by the socket server")),
           dropped(obs::MetricsRegistry::global().counter(
-              series("ref_net_dropped_total", label),
+              "ref_net_dropped_total",
               "Client connections dropped (timeout, overflow, IO "
               "error, or server full)")),
           idleTimeouts(obs::MetricsRegistry::global().counter(
-              series("ref_net_idle_timeouts_total", label),
+              "ref_net_idle_timeouts_total",
               "Connections dropped by the idle timeout")),
           writeTimeouts(obs::MetricsRegistry::global().counter(
-              series("ref_net_write_timeouts_total", label),
+              "ref_net_write_timeouts_total",
               "Connections dropped by the write timeout (slow "
               "readers)")),
           bytesIn(obs::MetricsRegistry::global().counter(
-              series("ref_net_bytes_in_total", label),
+              "ref_net_bytes_in_total",
               "Bytes read from socket clients")),
           bytesOut(obs::MetricsRegistry::global().counter(
-              series("ref_net_bytes_out_total", label),
+              "ref_net_bytes_out_total",
               "Bytes written to socket clients")),
           lines(obs::MetricsRegistry::global().counter(
-              series("ref_net_lines_total", label),
+              "ref_net_lines_total",
               "Complete protocol lines framed off sockets")),
           overlongLines(obs::MetricsRegistry::global().counter(
-              series("ref_net_overlong_lines_total", label),
+              "ref_net_overlong_lines_total",
               "Lines rejected for exceeding the byte bound")),
           frames(obs::MetricsRegistry::global().counter(
-              series("ref_net_frames_total", label),
+              "ref_net_frames_total",
               "Binary request frames served")),
           badFrames(obs::MetricsRegistry::global().counter(
-              series("ref_net_bad_frames_total", label),
+              "ref_net_bad_frames_total",
               "Binary frames rejected (oversized, bad CRC, or torn "
               "at end of stream)")),
           binaryConnections(obs::MetricsRegistry::global().counter(
-              series("ref_net_binary_connections_total", label),
+              "ref_net_binary_connections_total",
               "Connections that negotiated the binary protocol")),
           active(obs::MetricsRegistry::global().gauge(
-              series("ref_net_active_connections", label),
+              "ref_net_active_connections",
               "Currently connected socket clients"))
     {}
 };
@@ -212,8 +197,7 @@ struct SocketServer::Connection
 SocketServer::SocketServer(svc::AllocationService &service,
                            ServerOptions options)
     : service_(service), options_(std::move(options)),
-      metrics_(std::make_unique<Metrics>(options_.shardIndex,
-                                         options_.shardCount))
+      metrics_(std::make_unique<Metrics>())
 {
     // One socket scrape covers service and transport: METRICS prom
     // from a connection also renders the ref_net_* global series.
@@ -277,11 +261,6 @@ SocketServer::start()
         const int one = 1;
         ::setsockopt(tcpListenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof(one));
-        if (options_.reusePort)
-            REF_REQUIRE(::setsockopt(tcpListenFd_, SOL_SOCKET,
-                                     SO_REUSEPORT, &one,
-                                     sizeof(one)) == 0,
-                        "SO_REUSEPORT: " << std::strerror(errno));
         REF_REQUIRE(::bind(tcpListenFd_,
                            reinterpret_cast<sockaddr *>(&addr),
                            sizeof(addr)) == 0,
@@ -333,8 +312,8 @@ SocketServer::start()
         setNonBlocking(wakeFds_[1]);
     }
 
-    // Records appended off-loop (the stdio transport, another
-    // shard) must reach replicas promptly: the hub pokes the
+    // Records appended off-loop (the stdio transport, a chained
+    // follower's apply thread) must reach replicas promptly: the hub pokes the
     // self-pipe so a poll-blocked loop pumps without waiting for
     // its timeout. The hub outlives the server (ServerOptions
     // contract), but the write fd is process-long-lived anyway.
@@ -537,10 +516,6 @@ SocketServer::processInput(Connection &conn)
 void
 SocketServer::detectMode(Connection &conn)
 {
-    if (!options_.enableBinary) {
-        conn.mode = Connection::Mode::Text;
-        return;
-    }
     const std::string_view magic = svc::wire::helloMagic();
     const std::size_t have =
         std::min(conn.inbuf.size(), magic.size());

@@ -54,12 +54,11 @@
  * declared length or a CRC mismatch draws exactly one framed ERR and
  * the stream resyncs past the declared length — never a disconnect.
  *
- * Sharding: one SocketServer is one event-loop shard. ShardedServer
- * (sharded_server.hh) runs N of them on SO_REUSEPORT listeners
- * bound to the same address, one thread per shard, all fanning into
- * the one thread-safe AllocationService; options.shardIndex/
- * shardCount label this shard's ref_net_* metric series
- * (`{shard="i"}`) so per-shard load is visible in one scrape.
+ * One event loop: every TCP and Unix-domain connection is served by
+ * this one poll loop. A second loop would add threads but no write
+ * concurrency, since every mutation takes the service's one write
+ * mutex (DESIGN.md "Wire format (binary framing) and one event
+ * loop").
  */
 
 #ifndef REF_NET_SOCKET_SERVER_HH
@@ -113,19 +112,9 @@ struct ServerOptions
     /** Per-connection protocol options (echo, metrics/fairness out
      *  files, stop flag shared with the signal handler). */
     svc::SessionOptions session;
-    /** Accept the binary hello (svc/wire.hh) and serve framed
-     *  requests on connections that send it. */
-    bool enableBinary = true;
     /** Largest binary request-frame payload accepted; a frame
      *  declaring more draws one ERR and is skipped. */
     std::size_t maxFrameBytes = 1 << 20;
-    /** Bind the TCP listener with SO_REUSEPORT (the multi-shard
-     *  path; the kernel load-balances accepts across shards). */
-    bool reusePort = false;
-    /** This event loop's shard identity. shardCount > 1 labels the
-     *  ref_net_* series with {shard="<index>"}. */
-    std::size_t shardIndex = 0;
-    std::size_t shardCount = 1;
     /** WAL shipping fan-out (repl/replication_hub.hh). Non-null
      *  turns binary-protocol SYNC commands into replica
      *  subscriptions on this server; the hub must outlive the
@@ -244,7 +233,7 @@ class SocketServer
     svc::AllocationService &service_;
     ServerOptions options_;
     ServerStats stats_;
-    std::unique_ptr<Metrics> metrics_;  //!< Shard-labelled series.
+    std::unique_ptr<Metrics> metrics_;  //!< ref_net_* series.
     std::atomic<bool> stopRequested_{false};
     bool draining_ = false;
     /** Ack-after-durable across framings: set when a dispatched

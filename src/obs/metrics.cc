@@ -89,7 +89,7 @@ validLabelBlock(const std::string &name, std::size_t open)
 
 /**
  * A metric name, optionally carrying a Prometheus label block:
- * `ref_net_accepted_total` or `ref_net_accepted_total{shard="0"}`.
+ * `ref_pool_agents` or `ref_pool_agents{pool="/a"}`.
  * Labeled series of one base name sort adjacently in the registry
  * map, so the expositions can group them under one HELP/TYPE.
  */

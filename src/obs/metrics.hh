@@ -148,7 +148,7 @@ class MetricsRegistry
     /**
      * Get or create a metric. The name must be a valid Prometheus
      * metric name, optionally carrying a label block — e.g.
-     * `ref_net_accepted_total{shard="0"}` — in which case the
+     * `ref_pool_agents{pool="/a"}` — in which case the
      * labeled series of one base name share a single HELP/TYPE
      * header in the Prometheus exposition. Re-registering an
      * existing name returns the same instance (the help text of the

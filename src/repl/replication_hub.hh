@@ -5,10 +5,11 @@
  * The hub sits on the svc::ReplicationSink seam: every journaled
  * record arrives (encoded, in WAL order, under the service write
  * mutex), gets the next sequence number of this primary's stream,
- * and lands in a bounded ring. Transport shards pull entries after
- * each subscriber's cursor; a cursor that has fallen off the ring's
- * tail forces a snapshot resync — exactly the compaction story the
- * journal already tells on disk, replayed over the wire.
+ * and lands in a bounded ring. The transport's event loop pulls
+ * entries after each subscriber's cursor; a cursor that has fallen
+ * off the ring's tail forces a snapshot resync — exactly the
+ * compaction story the journal already tells on disk, replayed over
+ * the wire.
  *
  * Stream identity: streamId is minted once per hub (wall clock ^
  * pid), so a follower reconnecting after a primary restart presents
@@ -37,7 +38,7 @@
 
 namespace ref::repl {
 
-/** Fan-out ring between the service and the transport shards. */
+/** Fan-out ring between the service and the transport. */
 class ReplicationHub final : public svc::ReplicationSink
 {
   public:
@@ -91,9 +92,11 @@ class ReplicationHub final : public svc::ReplicationSink
 
     /**
      * Register a wake hook (self-pipe write); fired after every
-     * onRecord so a poll-blocked transport shard pumps its
-     * replica connections promptly. Hooks must be async-safe-ish:
-     * they run under no hub lock but on the mutating thread.
+     * onRecord so a poll-blocked event loop pumps its replica
+     * connections promptly (records also arrive from off the loop:
+     * stdio sessions and a chained follower's apply thread).
+     * Hooks must be async-safe-ish: they run under no hub lock but
+     * on the mutating thread.
      */
     void addWakeCallback(std::function<void()> callback);
 

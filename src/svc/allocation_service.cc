@@ -442,8 +442,7 @@ AllocationService::publishEpochLocked(EpochResult &result)
     next->epoch = result.epoch;
     next->agents = std::move(result.agentNames);
     next->seqs = std::move(result.agentSeqs);
-    // Exchanged, not moved: a moved-from Matrix keeps its shape.
-    next->allocation = std::exchange(result.allocation, {});
+    next->allocation = std::move(result.allocation);
     next->propertiesChecked = result.propertiesChecked;
     next->sharingIncentives = result.sharingIncentives;
     next->envyFreeness = result.envyFreeness;

@@ -34,6 +34,27 @@ TEST(Matrix, FromRowsBuildsAndValidates)
     EXPECT_THROW(Matrix::fromRows({}), ref::FatalError);
 }
 
+TEST(Matrix, MovesLeaveTheSourceEmpty)
+{
+    Matrix source = Matrix::fromRows({{1, 2}, {3, 4}, {5, 6}});
+    const Matrix moved(std::move(source));
+    EXPECT_EQ(moved.rows(), 3u);
+    EXPECT_DOUBLE_EQ(moved(2, 1), 6);
+    EXPECT_EQ(source.rows(), 0u);
+    EXPECT_EQ(source.cols(), 0u);
+    EXPECT_DOUBLE_EQ(source.maxAbs(), 0.0);
+
+    Matrix target(1, 1, 9.0);
+    Matrix again = Matrix::fromRows({{7, 8}});
+    target = std::move(again);
+    EXPECT_EQ(target.rows(), 1u);
+    EXPECT_EQ(target.cols(), 2u);
+    EXPECT_DOUBLE_EQ(target(0, 1), 8);
+    EXPECT_EQ(again.rows(), 0u);
+    EXPECT_EQ(again.cols(), 0u);
+    EXPECT_EQ(again.transposed().rows(), 0u);
+}
+
 TEST(Matrix, IdentityActsAsMultiplicativeUnit)
 {
     const Matrix a = Matrix::fromRows({{1, 2}, {3, 4}});

@@ -69,6 +69,10 @@ toLine(const Command &command)
     case Command::Op::Promote:
         line << "PROMOTE";
         break;
+    case Command::Op::Cohort:
+        line << "COHORT " << command.name << " "
+             << command.cohortLabel;
+        break;
     case Command::Op::Pool:
         line << "POOL ";
         switch (command.poolOp) {
@@ -332,18 +336,6 @@ TEST(BinaryProtocol, HelloSplitAcrossWritesStillNegotiates)
     ASSERT_TRUE(client.readFrameUnit(payload));
     EXPECT_EQ(wire::decodeReply(payload).status,
               wire::ReplyStatus::Hello);
-}
-
-TEST(BinaryProtocol, DisabledBinaryTreatsMagicAsText)
-{
-    net::ServerOptions options;
-    options.enableBinary = false;
-    ServerHarness harness({}, options);
-    TestClient client(harness.port());
-    client.sendAll(std::string(wire::helloMagic()) + "\n");
-    // The magic bytes are garbage as a text line: one ERR, no ack.
-    const std::string reply = client.readLines(1);
-    EXPECT_EQ(reply.rfind("ERR", 0), 0u) << reply;
 }
 
 TEST(BinaryProtocol, SeededTranscriptsAreBitIdenticalAcrossFramings)

@@ -143,4 +143,72 @@ TEST(FanInConsistency, SocketChurnMatchesStdioReplayBitForBit)
     EXPECT_EQ(socketFinal, stdioFinal);
 }
 
+// The ShardedServer ids below predate the one-loop server (DESIGN.md
+// "Wire format (binary framing) and one event loop"); each checks, on
+// the one loop, what it used to check across shards.
+
+TEST(ShardedServer, SingleShardDegeneratesToClassicServer)
+{
+    test::ServerHarness harness;
+    test::TestClient client(harness.port());
+    client.sendAll("ADMIT solo 0.6 0.4\nSHUTDOWN\n");
+    const std::string transcript = client.readToEof();
+    EXPECT_NE(transcript.find("OK admitted solo"), std::string::npos);
+    EXPECT_NE(transcript.find("OK shutdown"), std::string::npos);
+    const net::ServerStats &stats = harness.stop();
+    EXPECT_TRUE(stats.shutdown);
+    EXPECT_EQ(stats.accepted, 1u);
+}
+
+TEST(ShardedServer, ClientsShareOneServiceAcrossShards)
+{
+    test::ServerHarness harness;
+    // Each client admits its own agent; after one TICK every client
+    // must see every agent.
+    constexpr std::size_t kClients = 12;
+    std::vector<std::unique_ptr<test::TestClient>> clients;
+    for (std::size_t i = 0; i < kClients; ++i) {
+        clients.push_back(
+            std::make_unique<test::TestClient>(harness.port()));
+        clients.back()->sendAll("ADMIT agent" + std::to_string(i) +
+                                " 0.6 0.4\n");
+        const std::string reply = clients.back()->readLines(1);
+        ASSERT_EQ(reply.rfind("OK admitted", 0), 0u) << reply;
+    }
+    clients.front()->sendAll("TICK\n");
+    ASSERT_EQ(clients.front()->readLines(1).rfind("EPOCH", 0), 0u);
+    for (auto &client : clients) {
+        client->sendAll("QUERY\n");
+        EXPECT_EQ(test::countPrefixed(client->readLines(1 + kClients),
+                                      "SHARE "),
+                  kClients);
+    }
+    clients.clear();
+    EXPECT_EQ(harness.stop().accepted, kClients);
+}
+
+TEST(ShardedServer, ShutdownOnAnyShardStopsAll)
+{
+    test::ServerHarness harness;
+    // SHUTDOWN on one connection drains and closes every other one,
+    // and the run ends without requestStop.
+    std::vector<std::unique_ptr<test::TestClient>> idle;
+    for (std::size_t i = 0; i < 6; ++i) {
+        idle.push_back(
+            std::make_unique<test::TestClient>(harness.port()));
+        idle.back()->sendAll("STATS\n");
+        ASSERT_FALSE(idle.back()->readLines(1).empty());
+    }
+    test::TestClient killer(harness.port());
+    killer.sendAll("SHUTDOWN\n");
+    EXPECT_NE(killer.readLines(1).find("OK shutdown"),
+              std::string::npos);
+    EXPECT_TRUE(killer.waitForClose());
+    for (auto &client : idle)
+        EXPECT_TRUE(client->waitForClose());
+    const net::ServerStats &stats = harness.stop();
+    EXPECT_TRUE(stats.shutdown);
+    EXPECT_EQ(stats.accepted, 7u);
+}
+
 } // namespace

@@ -20,9 +20,9 @@
  * wall_ns is NOT wall-clock — it is the deterministic epoch count
  * the dynamics consumed (baseline tick + one per re-report round),
  * so the regression gate tracks convergence cost, and the same seed
- * produces byte-identical stdout across text vs binary framing and
- * across server shard counts (scripts/adversary_determinism.sh
- * asserts exactly that). Real timings go to stderr only.
+ * produces byte-identical stdout across text vs binary framing
+ * (scripts/adversary_determinism.sh asserts exactly that). Real
+ * timings go to stderr only.
  *
  * The fleet departs its agents after each step, so one long-lived
  * server hosts the whole sweep; only the epoch counter carries over,

@@ -13,7 +13,7 @@
  *             [--selfcheck] [--strict] [--echo] [--file PATH]
  *             [--metrics-out PATH] [--fairness-out PATH]
  *             [--trace-out PATH] [--trace-sample N]
- *             [--listen ADDR:PORT] [--unix PATH] [--shards N]
+ *             [--listen ADDR:PORT] [--unix PATH]
  *             [--max-clients N] [--idle-timeout MS]
  *             [--write-timeout MS] [--max-line-bytes N]
  *             [--follow HOST:PORT] [--promote-timeout MS]
@@ -25,13 +25,11 @@
  * switch to the poll-driven socket front-end (net/socket_server.hh):
  * many concurrent clients fan into the one service, each speaking
  * the same line protocol — or, per connection, the opt-in binary
- * framing (svc/wire.hh) negotiated by a magic hello. --shards N runs
- * N event-loop shards on SO_REUSEPORT listeners
- * (net/sharded_server.hh) so accept and IO load scale with cores.
- * The bound endpoints are announced once on stderr as a single
- * machine-parseable line:
+ * framing (svc/wire.hh) negotiated by a magic hello. One event loop
+ * on the main thread serves every connection. The bound endpoints
+ * are announced once on stderr as a single machine-parseable line:
  *
- *   LISTENING addr=ADDR:PORT unix=PATH shards=N
+ *   LISTENING addr=ADDR:PORT unix=PATH
  *
  * (addr / unix appear only for configured endpoints; port 0 picks an
  * ephemeral port, which scripts parse from that line). SHUTDOWN
@@ -90,7 +88,7 @@
 
 #include <memory>
 
-#include "net/sharded_server.hh"
+#include "net/socket_server.hh"
 #include "obs/trace.hh"
 #include "repl/follower.hh"
 #include "repl/replication_hub.hh"
@@ -137,7 +135,6 @@ struct CliOptions
     std::string listenAddress;  //!< Empty: no TCP listener.
     std::string unixPath;       //!< Empty: no Unix listener.
     std::uint64_t traceSample = 1;
-    std::size_t shards = 1;
     std::size_t maxClients = 64;
     std::size_t maxLineBytes = 65536;
     int idleTimeoutMs = 30000;
@@ -176,9 +173,8 @@ usage(const char *argv0, const std::string &error = "")
            "          [--metrics-out PATH] [--fairness-out PATH]\n"
            "          [--trace-out PATH] [--trace-sample N]\n"
            "          [--listen ADDR:PORT] [--unix PATH]\n"
-           "          [--shards N] [--max-clients N]\n"
-           "          [--idle-timeout MS] [--write-timeout MS]\n"
-           "          [--max-line-bytes N]\n\n"
+           "          [--max-clients N] [--idle-timeout MS]\n"
+           "          [--write-timeout MS] [--max-line-bytes N]\n\n"
            "Runs the online REF allocation service over a line\n"
            "protocol on stdin (or PATH): ADMIT/UPDATE/DEPART agents,\n"
            "TICK epochs, QUERY shares, PLAN enforcement, STATS\n"
@@ -196,11 +192,10 @@ usage(const char *argv0, const std::string &error = "")
            "over TCP / Unix-domain sockets to many concurrent\n"
            "clients instead of stdio (port 0 binds an ephemeral\n"
            "port, announced on stderr as 'LISTENING addr=...');\n"
-           "--shards N serves TCP from N SO_REUSEPORT event-loop\n"
-           "shards (one thread each); --max-clients caps the\n"
-           "fan-in per shard, --idle-timeout/--write-timeout drop\n"
-           "stuck or slow-reading peers, --max-line-bytes bounds\n"
-           "one protocol line. --pooled runs the hierarchical pool\n"
+           "--max-clients caps the fan-in of the one event loop,\n"
+           "--idle-timeout/--write-timeout drop stuck or\n"
+           "slow-reading peers, --max-line-bytes bounds one\n"
+           "protocol line. --pooled runs the hierarchical pool\n"
            "tree (POOL CREATE/ASSIGN/QUERY; epochs stay O(changed\n"
            "paths), QUERY answers from the live tree, enforcement\n"
            "off).\n"
@@ -259,11 +254,6 @@ parseArgs(int argc, char **argv)
             options.listenAddress = next();
         } else if (arg == "--unix") {
             options.unixPath = next();
-        } else if (arg == "--shards") {
-            options.shards = static_cast<std::size_t>(
-                parseNumber(argv[0], arg, next()));
-            if (options.shards == 0)
-                usage(argv[0], "--shards must be positive");
         } else if (arg == "--max-clients") {
             options.maxClients = static_cast<std::size_t>(
                 parseNumber(argv[0], arg, next()));
@@ -456,8 +446,7 @@ main(int argc, char **argv)
             server.replicationHub = hub.get();
             server.heartbeatIntervalMs =
                 options.heartbeatIntervalMs;
-            net::ShardedServer front(service, server,
-                                     options.shards);
+            net::SocketServer front(service, server);
             front.start();
             // One machine-parseable announcement line; scripts and
             // tests key off the "LISTENING " prefix to learn the
@@ -471,9 +460,8 @@ main(int argc, char **argv)
             }
             if (!options.unixPath.empty())
                 std::cerr << " unix=" << options.unixPath;
-            std::cerr << " shards=" << front.shardCount() << "\n";
-            const net::ShardedStats sharded = front.run();
-            const net::ServerStats &stats = sharded.total;
+            std::cerr << "\n";
+            const net::ServerStats stats = front.run();
             result = stats.protocol;
             result.shutdown = stats.shutdown;
             std::cerr << "server: " << stats.accepted
