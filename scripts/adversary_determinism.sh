@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Transcript determinism for the strategic fleet: the same seed must
-# produce byte-identical ref_adversary stdout across the text and
-# binary framings on one server. That is the contract that makes the
+# produce byte-identical ref_adversary stdout from two fleets run
+# back to back on one server. That is the contract that makes the
 # committed strategy-proofness bench reproducible: elasticities are a
 # pure function of (seed, index), QUERY reads the published epoch
 # snapshot, and the mechanism's allocation is order-independent, so
-# nothing about transport or connection interleaving may leak into
-# the measurement.
+# nothing about connection interleaving or what earlier fleets left
+# behind on the server may leak into the measurement.
 set -u
 
 REF_SERVE=${1:?usage: adversary_determinism.sh <ref_serve> <ref_adversary> <workdir> [sweep] [seed]}
@@ -60,20 +60,20 @@ run_fleet() {
         fail "ref_adversary failed for $out"
 }
 
-# Both framings share one server (the fleet departs its agents, so
+# Both fleets share one server (the fleet departs its agents, so
 # runs are independent).
 start_server
-run_fleet text.json
-run_fleet binary.json --binary
+run_fleet first.json
+run_fleet second.json
 stop_server
 
-cmp -s "$WORKDIR/text.json" "$WORKDIR/binary.json" ||
-    fail "binary.json differs from text.json"
+cmp -s "$WORKDIR/first.json" "$WORKDIR/second.json" ||
+    fail "second.json differs from first.json"
 
-RECORDS=$(wc -l < "$WORKDIR/text.json")
+RECORDS=$(wc -l < "$WORKDIR/first.json")
 EXPECTED=$(echo "$SWEEP" | tr ',' '\n' | wc -l)
 [ "$RECORDS" -eq "$EXPECTED" ] ||
     fail "expected $EXPECTED records, got $RECORDS"
 
 echo "ok: $RECORDS records byte-identical across" \
-    "text/binary framing (sweep $SWEEP, seed $SEED)"
+    "two fleets on one server (sweep $SWEEP, seed $SEED)"

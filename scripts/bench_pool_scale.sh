@@ -72,15 +72,14 @@ stop_server() {
 MIX=0:4:0:2:4
 
 one_run() {
-    # $1: population, fresh server per size (binary framing: the
-    # preload pushes 2x population commands through the socket).
+    # $1: population, fresh server per size.
     local population=$1
     local preload=$((population / CONNECTIONS))
     start_server "server_P$population.err"
     "$REF_BOMB" --connect "127.0.0.1:$PORT" \
         --name "pool_scale_P$population" \
         --connections "$CONNECTIONS" --ops "$OPS" --seed 42 \
-        --binary --mode closed --window 8 --mix "$MIX" \
+        --mode closed --window 8 --mix "$MIX" \
         --pools "$POOLS" --pool-skew zipf --preload "$preload" \
         > "$WORKDIR/pool_scale_P$population.json" \
         2>> "$WORKDIR/bomb.err" ||

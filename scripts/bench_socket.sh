@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Socket transport benchmark matrix: ref_bomb drives one ref_serve
-# event loop over {text, binary} framing on loopback, closed and open
-# loop, producing two BENCH artifacts in out_dir:
+# Socket transport benchmark: ref_bomb drives one ref_serve event
+# loop over text lines on loopback, closed and open loop, producing
+# two BENCH artifacts in out_dir:
 #
 #   BENCH_socket_throughput.json  closed-loop runs (max throughput)
 #   BENCH_socket_latency.json     open-loop runs at a fixed rate
@@ -75,15 +75,15 @@ bomb() {
 RATE=$((CONNECTIONS * 150))
 
 # Transport-focused mix: mostly UPDATE/QUERY round-trips with a
-# trickle of epochs, so the numbers compare framing + event-loop cost
+# trickle of epochs, so the numbers measure parsing + event-loop cost
 # rather than solver time (which grows with accumulated agents and
 # would swamp the transport signal).
 MIX=3:4:1:1:7
 
 one_run() {
     # Each measurement gets a fresh server: accumulated agents make
-    # later epochs costlier, which would bias whichever configuration
-    # runs last.
+    # later epochs costlier, which would bias whichever run comes
+    # last.
     local name=$1 out=$2
     shift 2
     start_server "server_$name.err"
@@ -92,12 +92,8 @@ one_run() {
 }
 
 one_run socket_text "$WORKDIR/tput_text.json" --mode closed --window 8
-one_run socket_binary "$WORKDIR/tput_binary.json" \
-    --mode closed --window 8 --binary
 one_run socket_latency_text "$WORKDIR/lat_text.json" \
     --mode open --rate "$RATE"
-one_run socket_latency_binary "$WORKDIR/lat_binary.json" \
-    --mode open --rate "$RATE" --binary
 
 join_records() {
     # Join one-record JSON files into a pretty-printed array.
@@ -110,10 +106,10 @@ EOF
 }
 
 join_records "$OUT_DIR/BENCH_socket_throughput.json" \
-    "$WORKDIR/tput_text.json" "$WORKDIR/tput_binary.json" ||
+    "$WORKDIR/tput_text.json" ||
     fail "could not assemble throughput records"
 join_records "$OUT_DIR/BENCH_socket_latency.json" \
-    "$WORKDIR/lat_text.json" "$WORKDIR/lat_binary.json" ||
+    "$WORKDIR/lat_text.json" ||
     fail "could not assemble latency records"
 
 SCRIPTS_DIR=$(cd "$(dirname "$0")" && pwd)

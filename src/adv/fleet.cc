@@ -118,11 +118,11 @@ runFleet(const FleetOptions &options)
             drawElasticities(options.seed, i, resources));
     }
 
-    ServiceClient control(options.connect, options.binary);
+    ServiceClient control(options.connect);
     std::vector<std::unique_ptr<ServiceClient>> liarConns;
     for (std::size_t k = 0; k < options.liars; ++k)
-        liarConns.push_back(std::make_unique<ServiceClient>(
-            options.connect, options.binary));
+        liarConns.push_back(
+            std::make_unique<ServiceClient>(options.connect));
 
     // Prologue: admit and label everyone, one pipelined flush.
     std::vector<svc::Command> prologue;

@@ -17,9 +17,8 @@
  * Everything is a pure function of (seed, options): elasticities are
  * drawn per agent index, all QUERYs read the published epoch
  * snapshot (stable between TICKs), and the mechanism's allocation is
- * order-independent — so the report is byte-stable across text vs
- * binary framing, which is exactly what the determinism test
- * asserts.
+ * order-independent — so the report is byte-stable across runs,
+ * which is exactly what the determinism test asserts.
  */
 
 #ifndef REF_ADV_FLEET_HH
@@ -36,7 +35,6 @@ namespace ref::adv {
 struct FleetOptions
 {
     std::string connect;       //!< "addr:port" of ref_serve.
-    bool binary = false;       //!< REFBIN framing instead of text.
     std::size_t agents = 8;    //!< Total population N (>= 2).
     std::size_t liars = 1;     //!< Strategic agents K (<= N).
     /** Re-report round cap E (a fix-point usually lands earlier). */

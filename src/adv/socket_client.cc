@@ -10,9 +10,7 @@
 #include <charconv>
 #include <cstring>
 
-#include "svc/wire.hh"
 #include "util/logging.hh"
-#include "util/record_io.hh"
 
 namespace ref::adv {
 namespace {
@@ -60,8 +58,8 @@ sendAll(int fd, std::string_view bytes)
     }
 }
 
-/** Shortest decimal that round-trips the exact double, so the text
- *  framing carries the same bits as the binary one. */
+/** Shortest decimal that round-trips the exact double, so the
+ *  server parses back the bits the agent computed. */
 std::string
 formatDouble(double value)
 {
@@ -110,18 +108,9 @@ textLine(const svc::Command &command)
 
 } // namespace
 
-ServiceClient::ServiceClient(const std::string &addrPort, bool binary)
-    : fd_(connectTo(addrPort)), binary_(binary)
+ServiceClient::ServiceClient(const std::string &addrPort)
+    : fd_(connectTo(addrPort))
 {
-    if (!binary_)
-        return;
-    sendAll(fd_, svc::wire::helloMagic());
-    std::string payload;
-    REF_REQUIRE(readFrameUnit(payload),
-                "no hello ack from server");
-    const svc::wire::Reply ack = svc::wire::decodeReply(payload);
-    REF_REQUIRE(ack.status == svc::wire::ReplyStatus::Hello,
-                "bad hello ack from server");
 }
 
 ServiceClient::~ServiceClient()
@@ -164,49 +153,16 @@ ServiceClient::readLine(std::string &line)
     }
 }
 
-bool
-ServiceClient::readFrameUnit(std::string &payload)
-{
-    for (;;) {
-        std::size_t at = offset_;
-        std::string_view view;
-        const FrameStatus status = readFrame(buffer_, at, view);
-        if (status == FrameStatus::Ok) {
-            payload.assign(view);
-            offset_ = at;
-            return true;
-        }
-        REF_REQUIRE(status != FrameStatus::Corrupt,
-                    "corrupt reply frame from server");
-        if (!fill())
-            return false;
-    }
-}
-
 void
 ServiceClient::send(const svc::Command &command)
 {
     ++commands_;
-    if (binary_) {
-        sendAll(fd_,
-                frameRecord(svc::wire::encodeCommand(command)));
-        return;
-    }
     sendAll(fd_, textLine(command) + "\n");
 }
 
 std::string
 ServiceClient::readReply()
 {
-    if (binary_) {
-        std::string payload;
-        REF_REQUIRE(readFrameUnit(payload),
-                    "server closed the connection mid-reply");
-        std::string text = svc::wire::decodeReply(payload).text;
-        if (!text.empty() && text.back() == '\n')
-            text.pop_back();
-        return text;
-    }
     std::string line;
     REF_REQUIRE(readLine(line),
                 "server closed the connection mid-reply");
@@ -238,24 +194,16 @@ ServiceClient::fairnessCsv(const std::string &sentinelAgent)
     svc::Command metrics;
     metrics.op = svc::Command::Op::Metrics;
     metrics.metricsFormat = "fairness";
-    if (binary_) {
-        send(metrics);
-        std::string payload;
-        REF_REQUIRE(readFrameUnit(payload),
-                    "server closed the connection mid-reply");
-        return svc::wire::decodeReply(payload).text;
-    }
-    // Text framing: the CSV block has no terminator, so a sentinel
-    // QUERY rides behind it — CSV rows never start with "SHARE" or
-    // "ERR", making the first such line an unambiguous end marker.
+    // The CSV block has no terminator, so a sentinel QUERY rides
+    // behind it — CSV rows never start with "SHARE" or "ERR",
+    // making the first such line an unambiguous end marker.
     svc::Command sentinel;
     sentinel.op = svc::Command::Op::Query;
     sentinel.hasName = true;
     sentinel.name = sentinelAgent;
     send(metrics);
     send(sentinel);
-    --commands_;  // The sentinel is a framing artifact, not work:
-                  // keep the command count framing-independent.
+    --commands_;  // The sentinel is a framing artifact, not work.
     std::string csv;
     for (;;) {
         std::string line;

@@ -3,22 +3,15 @@
  * Blocking protocol client for the allocation service's socket
  * front-end — the adversary fleet's transport.
  *
- * One ServiceClient is one TCP connection speaking either framing:
- * text lines (the default) or CRC32 binary frames negotiated with
- * the REFBIN hello. Commands go out as svc::Command, so a strategic
- * agent's behaviour is framing-independent by construction; text
- * serialization renders doubles with shortest-round-trip to_chars,
- * so the server parses back the exact bits the binary framing would
- * have carried and both framings drive the service through the
- * identical state sequence.
+ * One ServiceClient is one TCP connection speaking text lines.
+ * Commands go out as svc::Command rendered to a line; doubles use
+ * shortest-round-trip to_chars, so the server parses back the exact
+ * bits the agent computed.
  *
- * Replies come back as the text-protocol block either way (the
- * binary reply payload IS the text block, see svc/wire.hh). The one
- * asymmetry is multi-line replies: a binary reply is one frame
- * regardless of length, while a text reply block has no terminator.
- * roundTrip() therefore serves single-reply-line commands only, and
- * fairnessCsv() handles the unbounded METRICS fairness block by
- * pipelining a QUERY sentinel behind it over text framing.
+ * A text reply block has no terminator, so roundTrip() serves
+ * single-reply-line commands only, and fairnessCsv() handles the
+ * unbounded METRICS fairness block by pipelining a QUERY sentinel
+ * behind it.
  */
 
 #ifndef REF_ADV_SOCKET_CLIENT_HH
@@ -31,23 +24,18 @@
 
 namespace ref::adv {
 
-/** One blocking client connection (text or binary framing). */
+/** One blocking client connection. */
 class ServiceClient
 {
   public:
-    /**
-     * Connect to "addr:port" (numeric IPv4) and, with @p binary,
-     * negotiate the REFBIN framing before returning. Throws
-     * FatalError on connect or negotiation failure.
-     */
-    ServiceClient(const std::string &addrPort, bool binary);
+    /** Connect to "addr:port" (numeric IPv4). Throws FatalError on
+     *  connect failure. */
+    explicit ServiceClient(const std::string &addrPort);
     ~ServiceClient();
     ServiceClient(const ServiceClient &) = delete;
     ServiceClient &operator=(const ServiceClient &) = delete;
 
-    bool binary() const { return binary_; }
-
-    /** Commands sent over this connection (both framings). */
+    /** Commands sent over this connection. */
     std::uint64_t commandsSent() const { return commands_; }
 
     /**
@@ -63,7 +51,7 @@ class ServiceClient
      *  collect every reply — the fleet's re-report barrier). */
     ///@{
     void send(const svc::Command &command);
-    /** One reply unit: a line (text) or a frame's text (binary). */
+    /** One reply line, without its newline. */
     std::string readReply();
     ///@}
 
@@ -76,23 +64,20 @@ class ServiceClient
     roundTripAll(const std::vector<svc::Command> &commands);
 
     /**
-     * METRICS fairness: the per-epoch fairness series as CSV. Over
-     * binary framing the block is exactly one reply frame; over text
-     * it has no terminator, so a QUERY for @p sentinelAgent (which
-     * must be live) is pipelined behind it and the block ends at the
-     * sentinel's SHARE reply. Returns identical bytes either way.
+     * METRICS fairness: the per-epoch fairness series as CSV. The
+     * block has no terminator, so a QUERY for @p sentinelAgent
+     * (which must be live) is pipelined behind it and the block ends
+     * at the sentinel's SHARE reply.
      */
     std::string fairnessCsv(const std::string &sentinelAgent);
 
   private:
     int fd_ = -1;
-    bool binary_ = false;
     std::uint64_t commands_ = 0;
     std::string buffer_;       //!< Receive buffer.
     std::size_t offset_ = 0;   //!< Consumed prefix of buffer_.
     bool fill();
     bool readLine(std::string &line);
-    bool readFrameUnit(std::string &payload);
 };
 
 } // namespace ref::adv

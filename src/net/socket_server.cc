@@ -20,8 +20,6 @@
 #include "repl/repl_protocol.hh"
 #include "repl/replication_hub.hh"
 #include "svc/failpoints.hh"
-#include "svc/wire.hh"
-#include "util/crc32.hh"
 #include "util/logging.hh"
 #include "util/record_io.hh"
 
@@ -70,9 +68,7 @@ struct SocketServer::Metrics
     obs::Counter &bytesOut;
     obs::Counter &lines;
     obs::Counter &overlongLines;
-    obs::Counter &frames;
     obs::Counter &badFrames;
-    obs::Counter &binaryConnections;
     obs::Gauge &active;
 
     Metrics()
@@ -102,16 +98,10 @@ struct SocketServer::Metrics
           overlongLines(obs::MetricsRegistry::global().counter(
               "ref_net_overlong_lines_total",
               "Lines rejected for exceeding the byte bound")),
-          frames(obs::MetricsRegistry::global().counter(
-              "ref_net_frames_total",
-              "Binary request frames served")),
           badFrames(obs::MetricsRegistry::global().counter(
               "ref_net_bad_frames_total",
-              "Binary frames rejected (oversized, bad CRC, or torn "
-              "at end of stream)")),
-          binaryConnections(obs::MetricsRegistry::global().counter(
-              "ref_net_binary_connections_total",
-              "Connections that negotiated the binary protocol")),
+              "Replica frames rejected (oversized, bad CRC, or not "
+              "an Ack); each drops its replica")),
           active(obs::MetricsRegistry::global().gauge(
               "ref_net_active_connections",
               "Currently connected socket clients"))
@@ -119,6 +109,18 @@ struct SocketServer::Metrics
 };
 
 namespace {
+
+/** Unflushed reply bytes past which a text connection's buffered
+ *  lines wait: the loop neither dispatches them nor reads more input
+ *  until a flush brings the backlog back under. Without it one
+ *  connection's pipelined burst of large replies (METRICS prom)
+ *  holds the loop until every line is rendered. */
+constexpr std::size_t kDispatchBacklogBytes = 1 << 20;
+
+/** Largest inbound frame a replica may send. An Ack payload is 17
+ *  bytes; anything declaring more is off-protocol and dropped
+ *  before a byte of it is buffered. */
+constexpr std::uint32_t kMaxAckFrameBytes = 64;
 
 /**
  * Failpoint shim for the socket syscall sites ("net.accept",
@@ -156,33 +158,23 @@ injectNetIo(const char *site)
 /** One client connection: fd + framing buffers + protocol session. */
 struct SocketServer::Connection
 {
-    /** How this connection's inbound bytes are framed. Every
-     *  connection starts in Detect until its first bytes either
-     *  match the binary hello magic or rule it out. */
-    enum class Mode
-    {
-        Detect,
-        Text,
-        Binary,
-    };
-
     int fd = -1;
     std::unique_ptr<svc::CommandSession> session;
-    Mode mode = Mode::Detect;
     std::string inbuf;       //!< Bytes read, not yet framed.
     std::string outbuf;      //!< Reply bytes not yet written.
     std::size_t outOffset = 0;  //!< Flushed prefix of outbuf.
     bool discardingOverlong = false;
-    /** Binary resync: bytes of an already-rejected frame still to
-     *  swallow (the declared length of an oversized or CRC-corrupt
-     *  frame), consumed as they arrive — bounded memory, one ERR. */
-    std::uint64_t discardBytes = 0;
+    /** Complete lines left in inbuf when the backlog passed
+     *  kDispatchBacklogBytes; dispatched by the first loop pass after
+     *  a flush brings it back under, before any more input is read
+     *  (an EOF read first would discard them). */
+    bool linesHeld = false;
     bool dead = false;
     std::int64_t lastInboundMs = 0;   //!< Last byte read.
     std::int64_t lastProgressMs = 0;  //!< Last outbuf progress.
-    /** Replica subscription (a binary connection whose SYNC was
+    /** Replica subscription (a connection whose SYNC line was
      *  accepted): pumpReplicas ships records after replCursor and
-     *  inbound frames are Acks, not commands. */
+     *  inbound bytes are Ack frames, not lines. */
     bool replica = false;
     std::uint64_t replCursor = 0;
     /** Stream identity the cursor belongs to; when the hub mints a
@@ -192,6 +184,16 @@ struct SocketServer::Connection
     std::int64_t lastHeartbeatMs = 0;
 
     std::size_t pending() const { return outbuf.size() - outOffset; }
+    /** Too much unflushed output to take more lines (replicas are
+     *  exempt: a queued snapshot legitimately exceeds the bound). */
+    bool backlogged() const
+    {
+        return !replica && pending() > kDispatchBacklogBytes;
+    }
+    /** Held lines whose backlog has drained: dispatch them next. */
+    bool heldReady() const { return linesHeld && !backlogged(); }
+    /** Read more input only with no backlog and no held lines. */
+    bool wantsInput() const { return !linesHeld && !backlogged(); }
 };
 
 SocketServer::SocketServer(svc::AllocationService &service,
@@ -427,14 +429,27 @@ SocketServer::rejectOverlong(Connection &conn)
 void
 SocketServer::dispatchLine(Connection &conn, const std::string &line)
 {
+    using LineStatus = svc::CommandSession::LineStatus;
     obs::Span span("net.dispatch", "net");
     ++stats_.lines;
     metrics_->lines.add();
     std::ostringstream reply;
-    const auto status = conn.session->executeLine(line, reply);
+    svc::Command command;
+    LineStatus status = conn.session->parseLine(line, reply, command);
+    if (status == LineStatus::Parsed &&
+        command.op == svc::Command::Op::Sync) {
+        // The transport intercepts SYNC: subscription is a channel
+        // mode change, not a service command. Its echo line is
+        // dropped, so a subscriber reads exactly one reply line
+        // before the frames.
+        handleSync(conn, command);
+        return;
+    }
+    if (status == LineStatus::Parsed)
+        status = conn.session->executeCommand(command, reply);
     barrierPending_ = true;
     conn.outbuf += reply.str();
-    if (status == svc::CommandSession::LineStatus::Shutdown) {
+    if (status == LineStatus::Shutdown) {
         stats_.shutdown = true;
         draining_ = true;
     }
@@ -448,7 +463,8 @@ SocketServer::handleReadable(Connection &conn)
     // Cap one connection's reads per loop pass so a firehose client
     // cannot monopolize the single-threaded loop.
     std::size_t budget = 64 * sizeof(chunk);
-    while (budget > 0 && !conn.dead && !draining_) {
+    while (budget > 0 && !conn.dead && !draining_ &&
+           conn.wantsInput()) {
         const NetInject inject = injectNetIo("net.read");
         ssize_t got = -1;
         if (inject.fail) {
@@ -468,13 +484,6 @@ SocketServer::handleReadable(Connection &conn)
             return;
         }
         if (got == 0) {  // Peer EOF: end of that session.
-            if (conn.mode == Connection::Mode::Binary &&
-                !conn.inbuf.empty() && conn.discardBytes == 0) {
-                // The stream ends mid-frame — the transport analogue
-                // of a journal's torn tail: one ERR, best-effort
-                // flush, then the close.
-                rejectBadFrame(conn, "torn frame at end of stream");
-            }
             if (conn.pending() > 0)
                 flushWrites(conn);
             closeConnection(conn);
@@ -488,49 +497,26 @@ SocketServer::handleReadable(Connection &conn)
         conn.inbuf.append(chunk, static_cast<std::size_t>(got));
 
         processInput(conn);
-        if (conn.dead)
-            return;
-        // Replicas are exempt: a queued snapshot legitimately
-        // exceeds the interactive backlog bound (the write timeout
-        // still catches a reader that stops draining it).
-        if (!conn.replica &&
-            conn.pending() > options_.maxPendingBytes) {
-            ++stats_.overflowDrops;
-            dropConnection(conn, "reply backlog overflow");
-            return;
-        }
     }
 }
 
 void
 SocketServer::processInput(Connection &conn)
 {
-    if (conn.mode == Connection::Mode::Detect)
-        detectMode(conn);
-    if (conn.mode == Connection::Mode::Text)
+    if (!conn.replica)
         processText(conn);
-    else if (conn.mode == Connection::Mode::Binary)
-        processBinary(conn);
-}
-
-void
-SocketServer::detectMode(Connection &conn)
-{
-    const std::string_view magic = svc::wire::helloMagic();
-    const std::size_t have =
-        std::min(conn.inbuf.size(), magic.size());
-    if (std::string_view(conn.inbuf).substr(0, have) !=
-        magic.substr(0, have)) {
-        conn.mode = Connection::Mode::Text;
-        return;
+    // A SYNC line turns the rest of the stream into Ack frames.
+    // Replicas are exempt from the backlog cap: a queued snapshot
+    // legitimately exceeds it (the write timeout still catches a
+    // reader that stops draining it).
+    if (conn.replica) {
+        if (!conn.dead)
+            processAcks(conn);
+    } else if (!conn.dead &&
+               conn.pending() > options_.maxPendingBytes) {
+        ++stats_.overflowDrops;
+        dropConnection(conn, "reply backlog overflow");
     }
-    if (have < magic.size())
-        return;  // Prefix of the magic so far: wait for more bytes.
-    conn.inbuf.erase(0, magic.size());
-    conn.mode = Connection::Mode::Binary;
-    ++stats_.binaryConnections;
-    metrics_->binaryConnections.add();
-    conn.outbuf += frameRecord(svc::wire::encodeHelloAck());
 }
 
 void
@@ -539,10 +525,15 @@ SocketServer::processText(Connection &conn)
     // Frame complete lines; enforce the byte bound both on
     // complete lines and on an incomplete remainder.
     std::size_t begin = 0;
+    conn.linesHeld = false;
     for (;;) {
         const std::size_t newline = conn.inbuf.find('\n', begin);
         if (newline == std::string::npos)
             break;
+        if (conn.backlogged()) {
+            conn.linesHeld = true;
+            break;
+        }
         if (conn.discardingOverlong) {
             // Tail of an overlong line: already answered with
             // its one ERR, swallow through the newline.
@@ -555,10 +546,12 @@ SocketServer::processText(Connection &conn)
             dispatchLine(conn, line);
         }
         begin = newline + 1;
-        if (draining_)
+        if (draining_ || conn.replica)
             break;
     }
     conn.inbuf.erase(0, begin);
+    if (conn.linesHeld || conn.replica)
+        return;
     if (conn.discardingOverlong) {
         conn.inbuf.clear();
     } else if (conn.inbuf.size() > options_.maxLineBytes) {
@@ -571,92 +564,28 @@ SocketServer::processText(Connection &conn)
 }
 
 void
-SocketServer::processBinary(Connection &conn)
+SocketServer::processAcks(Connection &conn)
 {
-    for (;;) {
-        if (conn.discardBytes > 0) {
-            // Swallowing an already-rejected frame's payload as it
-            // arrives: bounded memory however absurd the declared
-            // length was.
-            const std::uint64_t eat = std::min<std::uint64_t>(
-                conn.discardBytes, conn.inbuf.size());
-            conn.inbuf.erase(0, static_cast<std::size_t>(eat));
-            conn.discardBytes -= eat;
-            if (conn.discardBytes > 0)
-                return;
-        }
-        if (conn.inbuf.size() < 8 || draining_)
-            return;  // Torn: wait for at least a whole header.
-        ByteReader header(std::string_view(conn.inbuf.data(), 8));
-        const std::uint32_t length = header.u32();
-        const std::uint32_t expected = header.u32();
-        if (length > options_.maxFrameBytes) {
-            conn.inbuf.erase(0, 8);
-            conn.discardBytes = length;
-            rejectBadFrame(conn, "frame exceeds byte bound");
-            continue;
-        }
-        if (conn.inbuf.size() <
-            8 + static_cast<std::size_t>(length))
-            return;  // Torn: bounded above by maxFrameBytes.
-        const std::string_view payload(conn.inbuf.data() + 8,
-                                       length);
-        if (crc32(payload) != expected) {
-            conn.inbuf.erase(
-                0, 8 + static_cast<std::size_t>(length));
-            rejectBadFrame(conn, "frame CRC mismatch");
-            continue;
-        }
-        dispatchFrame(conn, payload);
-        if (conn.dead)
-            return;  // A replica dropped mid-buffer stays dropped.
-        conn.inbuf.erase(0, 8 + static_cast<std::size_t>(length));
-        if (draining_)
+    std::size_t offset = 0;
+    while (!conn.dead) {
+        if (conn.inbuf.size() - offset >= 4 &&
+            ByteReader(std::string_view(conn.inbuf).substr(offset, 4))
+                    .u32() > kMaxAckFrameBytes) {
+            dropReplica(conn, "replica frame exceeds byte bound");
             return;
+        }
+        std::string_view payload;
+        const FrameStatus status =
+            readFrame(conn.inbuf, offset, payload);
+        if (status == FrameStatus::Torn || status == FrameStatus::End)
+            break;  // Wait for the rest of the frame.
+        if (status == FrameStatus::Corrupt) {
+            dropReplica(conn, "replica frame CRC mismatch");
+            return;
+        }
+        handleAck(conn, payload);
     }
-}
-
-void
-SocketServer::dispatchFrame(Connection &conn,
-                            std::string_view payload)
-{
-    obs::Span span("net.dispatch", "net");
-    if (conn.replica) {
-        handleReplicaFrame(conn, payload);
-        return;
-    }
-    svc::Command command;
-    try {
-        command = svc::wire::decodeCommand(payload);
-    } catch (const FatalError &error) {
-        // CRC-valid but undecodable (unknown opcode, truncated
-        // fields, trailing bytes): one framed ERR, the stream
-        // stays up — same contract as a corrupt frame.
-        rejectBadFrame(conn,
-                       std::string("bad frame: ") + error.what());
-        return;
-    }
-    ++stats_.frames;
-    metrics_->frames.add();
-    if (command.op == svc::Command::Op::Sync) {
-        // The transport intercepts SYNC: subscription is a channel
-        // mode change, not a service command.
-        handleSync(conn, command);
-        return;
-    }
-    svc::wire::ReplyStatus status = svc::wire::ReplyStatus::Ok;
-    std::ostringstream reply;
-    const auto line = conn.session->executeCommand(command, reply);
-    barrierPending_ = true;
-    if (line == svc::CommandSession::LineStatus::Shutdown) {
-        status = svc::wire::ReplyStatus::Shutdown;
-        stats_.shutdown = true;
-        draining_ = true;
-    } else if (line == svc::CommandSession::LineStatus::Rejected) {
-        status = svc::wire::ReplyStatus::Err;
-    }
-    conn.outbuf +=
-        frameRecord(svc::wire::encodeReply(status, reply.str()));
+    conn.inbuf.erase(0, offset);
 }
 
 void
@@ -668,9 +597,7 @@ SocketServer::handleSync(Connection &conn,
         ++conn.session->result().commands;
         ++conn.session->result().errors;
         service_.noteRejected();
-        conn.outbuf += frameRecord(svc::wire::encodeReply(
-            svc::wire::ReplyStatus::Err,
-            "ERR replication not enabled\n"));
+        conn.outbuf += "ERR replication not enabled\n";
         return;
     }
 
@@ -687,8 +614,7 @@ SocketServer::handleSync(Connection &conn,
     reply << "OK sync stream=" << hub->streamId()
           << " from=" << (tailResume ? command.syncSeq : 0)
           << " snapshot=" << (tailResume ? 0 : 1) << "\n";
-    conn.outbuf += frameRecord(svc::wire::encodeReply(
-        svc::wire::ReplyStatus::Ok, reply.str()));
+    conn.outbuf += reply.str();
 
     conn.replica = true;
     conn.lastHeartbeatMs = nowMs();
@@ -721,25 +647,29 @@ SocketServer::queueSnapshot(Connection &conn)
 }
 
 void
-SocketServer::handleReplicaFrame(Connection &conn,
-                                 std::string_view payload)
+SocketServer::handleAck(Connection &conn, std::string_view payload)
 {
-    repl::ReplicationHub *hub = options_.replicationHub;
     try {
         const repl::ReplMessage message =
             repl::decodeReplMessage(payload);
         REF_REQUIRE(message.kind == repl::MessageKind::Ack,
                     "replica sent frame kind "
                         << static_cast<unsigned>(message.kind));
-        if (hub != nullptr)
-            hub->noteAck(message.seq, message.timestampNs);
-    } catch (const FatalError &error) {
-        // A replica that stops speaking Ack is broken; drop it and
-        // let the follower's reconnect path resync.
-        ++stats_.badFrames;
-        metrics_->badFrames.add();
-        dropConnection(conn, "bad replica frame");
+        options_.replicationHub->noteAck(message.seq,
+                                         message.timestampNs);
+    } catch (const FatalError &) {
+        dropReplica(conn, "bad replica frame");
     }
+}
+
+/** A replica that stops speaking Ack is broken: drop it and let the
+ *  follower's reconnect path resync. */
+void
+SocketServer::dropReplica(Connection &conn, const char *reason)
+{
+    ++stats_.badFrames;
+    metrics_->badFrames.add();
+    dropConnection(conn, reason);
 }
 
 void
@@ -793,21 +723,6 @@ SocketServer::pumpReplicas()
         if (conn.pending() > 0)
             flushWrites(conn);
     }
-}
-
-/** The one framed ERR a bad binary frame draws; counted as a
- *  rejected command so STATS agrees across framings. */
-void
-SocketServer::rejectBadFrame(Connection &conn,
-                             const std::string &reason)
-{
-    ++stats_.badFrames;
-    metrics_->badFrames.add();
-    service_.noteRejected();
-    ++conn.session->result().commands;
-    ++conn.session->result().errors;
-    conn.outbuf += frameRecord(svc::wire::encodeReply(
-        svc::wire::ReplyStatus::Err, "ERR " + reason + "\n"));
 }
 
 void
@@ -1004,6 +919,21 @@ SocketServer::run()
         metrics_->active.set(
             static_cast<double>(connections_.size()));
 
+        // Lines held back by a backlog that a flush has since
+        // brought under the bound go now: their client may be
+        // waiting on the replies and never write again.
+        bool heldReady = false;
+        for (auto &conn : connections_) {
+            if (conn->dead || !conn->heldReady())
+                continue;
+            processInput(*conn);
+            if (!conn->dead && conn->pending() > 0)
+                flushWrites(*conn);
+            heldReady |= !conn->dead && conn->heldReady();
+        }
+        if (draining_)
+            break;
+
         const int timeoutMs = sweepTimeouts();
 
         std::vector<pollfd> fds;
@@ -1018,7 +948,9 @@ SocketServer::run()
         for (auto &conn : connections_) {
             if (conn->dead)
                 continue;
-            short events = POLLIN;
+            // A backlogged connection is not read until a flush
+            // brings it back under the bound and its held lines go.
+            short events = conn->wantsInput() ? POLLIN : 0;
             if (conn->pending() > 0)
                 events |= POLLOUT;
             fds.push_back({conn->fd, events, 0});
@@ -1027,7 +959,9 @@ SocketServer::run()
 
         const int ready =
             ::poll(fds.data(), fds.size(),
-                   timeoutMs < 0 ? 1000 : std::min(timeoutMs, 1000));
+                   heldReady       ? 0
+                   : timeoutMs < 0 ? 1000
+                                   : std::min(timeoutMs, 1000));
         if (ready < 0) {
             if (errno == EINTR)
                 continue;  // Signal: loop re-checks the stop flag.

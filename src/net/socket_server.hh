@@ -6,7 +6,8 @@
  * client connections into one thread-safe AllocationService. Each
  * connection owns a svc::CommandSession, so every client speaks the
  * exact stdin/stdout protocol (svc/protocol.hh) — ADMIT through
- * SHUTDOWN, byte-for-byte — over its own socket.
+ * SHUTDOWN, byte-for-byte — over its own socket. Text lines are the
+ * only client protocol.
  *
  * Concurrency model (the "fan-in serialization" contract): the event
  * loop is single-threaded, so state-mutating commands from different
@@ -23,7 +24,11 @@
  *discarded through the next newline (one ERR per bad line, never a
  * disconnect). Replies go through a per-connection output buffer
  * flushed opportunistically, so partial writes and EAGAIN never
- * drop or reorder reply bytes.
+ * drop or reorder reply bytes. Once a connection's unflushed replies
+ * pass a fixed bound (1 MiB) its remaining buffered lines wait, and
+ * the loop stops reading it, until a flush brings the backlog back
+ * under: one client's pipelined burst of large replies cannot hold
+ * the loop for everyone else.
  *
  * Timeouts: a connection with no inbound bytes and nothing left to
  * write for idleTimeoutMs is dropped; a connection whose pending
@@ -44,21 +49,20 @@
  * dropped, the allocator state stays consistent); an injected short
  * write exercises the partial-write path.
  *
- * Binary framing (opt-in per connection): a client whose FIRST bytes
- * are the svc/wire hello magic switches its connection to the
- * length-prefixed CRC32 binary protocol — the same frame the journal
- * uses — and every request/reply from then on is one frame. The
- * sniff is unambiguous (the magic starts with NUL; no text command
- * does), so text clients and stdio transcripts are untouched. A bad
- * frame mirrors the text transport's bad-line contract: an oversized
- * declared length or a CRC mismatch draws exactly one framed ERR and
- * the stream resyncs past the declared length — never a disconnect.
+ * Replication: a follower sends the text line "SYNC <streamId>
+ * <seq>". With a replication hub configured the server answers one
+ * "OK sync stream=... from=... snapshot=..." line, and from then on
+ * the connection carries only util/record_io CRC32 frames of
+ * repl/repl_protocol.hh messages — Snapshot, Record and Heartbeat
+ * out, Ack in. An inbound frame that is not a valid Ack drops the
+ * replica; the follower's reconnect resyncs it. Without a hub SYNC
+ * draws "ERR replication not enabled" and the session continues.
  *
  * One event loop: every TCP and Unix-domain connection is served by
  * this one poll loop. A second loop would add threads but no write
  * concurrency, since every mutation takes the service's one write
- * mutex (DESIGN.md "Wire format (binary framing) and one event
- * loop").
+ * mutex (DESIGN.md "Text clients, a framed replication stream and
+ * one event loop").
  */
 
 #ifndef REF_NET_SOCKET_SERVER_HH
@@ -112,12 +116,9 @@ struct ServerOptions
     /** Per-connection protocol options (echo, metrics/fairness out
      *  files, stop flag shared with the signal handler). */
     svc::SessionOptions session;
-    /** Largest binary request-frame payload accepted; a frame
-     *  declaring more draws one ERR and is skipped. */
-    std::size_t maxFrameBytes = 1 << 20;
     /** WAL shipping fan-out (repl/replication_hub.hh). Non-null
-     *  turns binary-protocol SYNC commands into replica
-     *  subscriptions on this server; the hub must outlive the
+     *  turns SYNC lines into replica subscriptions on this
+     *  server; the hub must outlive the
      *  server (ref_serve wires the same hub in as the service's
      *  replication sink). */
     repl::ReplicationHub *replicationHub = nullptr;
@@ -141,9 +142,7 @@ struct ServerStats
     std::uint64_t bytesOut = 0;
     std::uint64_t lines = 0;         //!< Complete lines framed.
     std::uint64_t overlongLines = 0; //!< Lines beyond maxLineBytes.
-    std::uint64_t frames = 0;        //!< Binary request frames served.
-    std::uint64_t badFrames = 0;     //!< Oversized/corrupt/torn frames.
-    std::uint64_t binaryConnections = 0;  //!< Hellos negotiated.
+    std::uint64_t badFrames = 0;     //!< Replicas dropped off-protocol.
     std::uint64_t replicas = 0;  //!< SYNC subscriptions accepted.
     /** Aggregated per-session protocol totals of every connection
      *  that finished (plus, after run(), the ones open at drain). */
@@ -198,30 +197,25 @@ class SocketServer
     void acceptPending(int listenFd);
     /** Read whatever is available; frame and dispatch. */
     void handleReadable(Connection &conn);
-    /** Mode-aware framing over whatever inbuf holds. */
+    /** Lines (or, on a replica, Ack frames) out of inbuf. */
     void processInput(Connection &conn);
-    /** Sniff the hello magic; settles the connection's mode. */
-    void detectMode(Connection &conn);
     void processText(Connection &conn);
-    void processBinary(Connection &conn);
+    void processAcks(Connection &conn);
     /** Flush as much pending output as the socket accepts. */
     void flushWrites(Connection &conn);
+    /** Parse and execute one line; SYNC is intercepted here. */
     void dispatchLine(Connection &conn, const std::string &line);
-    /** Decode + execute one binary request frame; frame the reply. */
-    void dispatchFrame(Connection &conn, std::string_view payload);
-    /** Turn a binary connection into a replica subscription. */
+    /** Turn a text connection into a replica subscription. */
     void handleSync(Connection &conn, const svc::Command &command);
-    /** Inbound frame on a replica connection (Ack expected). */
-    void handleReplicaFrame(Connection &conn,
-                            std::string_view payload);
+    /** One inbound frame payload on a replica (Ack expected). */
+    void handleAck(Connection &conn, std::string_view payload);
+    void dropReplica(Connection &conn, const char *reason);
     /** Queue a full-state Snapshot frame and reset the cursor. */
     void queueSnapshot(Connection &conn);
     /** Ship new records / heartbeats to every replica connection. */
     void pumpReplicas();
     /** Reply the one line-too-long ERR and count the rejection. */
     void rejectOverlong(Connection &conn);
-    /** Reply one framed ERR for a bad binary frame; never drops. */
-    void rejectBadFrame(Connection &conn, const std::string &reason);
     void dropConnection(Connection &conn, const char *reason);
     void closeConnection(Connection &conn);
     /** Sweep idle/write timeouts; returns ms until the next
@@ -236,7 +230,7 @@ class SocketServer
     std::unique_ptr<Metrics> metrics_;  //!< ref_net_* series.
     std::atomic<bool> stopRequested_{false};
     bool draining_ = false;
-    /** Ack-after-durable across framings: set when a dispatched
+    /** Ack-after-durable: set when a dispatched
      *  command (or a shipped record) may have journaled; the next
      *  flushWrites runs one journal barrier first, so one fsync
      *  amortizes every reply queued this poll pass. */

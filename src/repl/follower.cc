@@ -15,7 +15,6 @@
 #include "repl_protocol.hh"
 #include "svc/journal.hh"
 #include "svc/snapshot.hh"
-#include "svc/wire.hh"
 #include "util/logging.hh"
 #include "util/record_io.hh"
 
@@ -284,20 +283,19 @@ FollowerClient::runSession()
         return SessionEnd::Retry;
     }
 
-    // Hello, then SYNC with our resume cursor. streamId 0 (no
-    // snapshot yet, or a forced resync) never matches a real
-    // stream, so the primary answers with a Snapshot frame.
-    svc::Command sync;
-    sync.op = svc::Command::Op::Sync;
-    sync.syncStreamId = streamId_;
-    sync.syncSeq = lastApplied_;
-    std::string opening(svc::wire::helloMagic());
-    opening += frameRecord(svc::wire::encodeCommand(sync));
-    if (!writeAll(fd, opening)) {
+    // SYNC with our resume cursor. streamId 0 (no snapshot yet, or
+    // a forced resync) never matches a real stream, so the primary
+    // answers with a Snapshot frame.
+    const std::string sync = "SYNC " + std::to_string(streamId_) +
+                             " " + std::to_string(lastApplied_) +
+                             "\n";
+    if (!writeAll(fd, sync)) {
         ::close(fd);
         return SessionEnd::Retry;
     }
 
+    // One reply line, then frames only.
+    bool subscribed = false;
     std::string buffer;
     char chunk[65536];
     SessionEnd end = SessionEnd::Retry;
@@ -340,6 +338,18 @@ FollowerClient::runSession()
         buffer.append(chunk, static_cast<std::size_t>(got));
 
         std::size_t offset = 0;
+        if (!subscribed) {
+            const std::size_t newline = buffer.find('\n');
+            if (newline == std::string::npos)
+                continue;  // Wait for the rest of the line.
+            const std::string reply = buffer.substr(0, newline);
+            if (reply.rfind("OK sync ", 0) != 0) {
+                REF_WARN("primary refused sync: " << reply);
+                break;
+            }
+            offset = newline + 1;
+            subscribed = true;
+        }
         bool resync = false;
         for (;;) {
             std::string_view payload;
@@ -378,23 +388,6 @@ FollowerClient::runSession()
 bool
 FollowerClient::handleMessage(std::string_view payload, int fd)
 {
-    if (!isReplMessage(payload)) {
-        // Command replies: the hello ack and the SYNC status line.
-        try {
-            const svc::wire::Reply reply =
-                svc::wire::decodeReply(payload);
-            if (reply.status == svc::wire::ReplyStatus::Err) {
-                REF_WARN("primary refused sync: " << reply.text);
-                return false;
-            }
-        } catch (const FatalError &error) {
-            REF_WARN("unintelligible reply from primary: "
-                     << error.what());
-            return false;
-        }
-        return true;
-    }
-
     ReplMessage message;
     try {
         message = decodeReplMessage(payload);

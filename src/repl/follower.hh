@@ -2,9 +2,10 @@
  * @file
  * Warm-standby follower: the client side of WAL shipping.
  *
- * A FollowerClient owns one background thread that keeps a binary
- * protocol connection to the primary: hello, `SYNC <stream> <seq>`,
- * then an endless stream of replication frames (repl_protocol.hh).
+ * A FollowerClient owns one background thread that keeps a
+ * connection to the primary: the text line `SYNC <stream> <seq>`,
+ * one `OK sync ...` reply line, then an endless stream of CRC32
+ * replication frames (repl_protocol.hh).
  * Every shipped record is replayed through the SAME AllocationService
  * code paths a live command would take (applyShipped), so the
  * standby's state is not a copy of bytes but a re-execution — and

@@ -5,17 +5,6 @@
 
 namespace ref::repl {
 
-bool
-isReplMessage(std::string_view payload)
-{
-    if (payload.empty())
-        return false;
-    const auto byte =
-        static_cast<std::uint8_t>(payload.front());
-    return byte >= static_cast<std::uint8_t>(MessageKind::Snapshot) &&
-           byte <= static_cast<std::uint8_t>(MessageKind::Ack);
-}
-
 std::string
 encodeReplMessage(const ReplMessage &message)
 {

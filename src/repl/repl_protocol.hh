@@ -2,12 +2,11 @@
  * @file
  * Frame payloads of the WAL shipping stream.
  *
- * After a binary connection's SYNC command is accepted, the server
- * turns it into a replication channel: the same CRC32 record frames
- * (util/record_io.hh) keep flowing, but their payloads are repl
- * messages instead of command/reply payloads. Kinds live in a byte
- * range (0x40+) disjoint from both Command opcodes and ReplyStatus
- * values, so a misrouted frame decodes loudly, never plausibly.
+ * After a socket connection's `SYNC <streamId> <seq>` line is
+ * accepted (one "OK sync ..." reply line), the connection carries
+ * only CRC32 record frames (util/record_io.hh) whose payloads are
+ * these messages. The first payload byte is the kind; an unknown
+ * kind decodes loudly, never plausibly.
  *
  *   Snapshot   primary -> follower: full encoded ServiceState, the
  *              stream identity, and the sequence the state covers
@@ -61,9 +60,6 @@ struct ReplMessage
      *  record payload (encodeJournalRecord). */
     std::string payload;
 };
-
-/** True when @p payload starts with a replication kind byte. */
-bool isReplMessage(std::string_view payload);
 
 /** Encode to a frame payload (wrap with frameRecord for the wire). */
 std::string encodeReplMessage(const ReplMessage &message);

@@ -66,6 +66,20 @@ parseNumber(const std::string &token)
     }
 }
 
+/** A SYNC cursor: stream ids use all 64 bits, which a double
+ *  cannot carry, so this parses the exact unsigned integer. */
+std::uint64_t
+parseCursor(const std::string &token)
+{
+    std::uint64_t value = 0;
+    const char *end = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), end, value);
+    REF_REQUIRE(ec == std::errc() && stop == end,
+                "SYNC arguments must be non-negative integers, got '"
+                    << token << "'");
+    return value;
+}
+
 linalg::Vector
 parseElasticities(const std::vector<std::string> &tokens,
                   std::size_t first)
@@ -205,7 +219,7 @@ isMutating(const Command &command)
  * Tokens -> Command. Throws FatalError with the text protocol's
  * exact diagnostics on arity or numeric-parse errors; semantic
  * validation (agent rules, TICK range, METRICS format) happens in
- * executeCommand so text and binary transports reject identically.
+ * executeCommand.
  */
 Command
 parseCommand(const std::vector<std::string> &tokens)
@@ -233,8 +247,7 @@ parseCommand(const std::vector<std::string> &tokens)
         parsed.op = Command::Op::Tick;
         if (tokens.size() == 2) {
             // Only representability is checked here; the [1, max]
-            // range guard lives in executeCommand so text and binary
-            // clients draw byte-identical diagnostics from one site.
+            // range guard lives in executeCommand.
             const double count = parseNumber(tokens[1]);
             REF_REQUIRE(
                 count >= 0 &&
@@ -297,15 +310,8 @@ parseCommand(const std::vector<std::string> &tokens)
         REF_REQUIRE(tokens.size() == 3,
                     "usage: SYNC <streamId> <seq>");
         parsed.op = Command::Op::Sync;
-        const double stream = parseNumber(tokens[1]);
-        const double seq = parseNumber(tokens[2]);
-        REF_REQUIRE(stream >= 0 && seq >= 0 &&
-                        stream ==
-                            static_cast<std::uint64_t>(stream) &&
-                        seq == static_cast<std::uint64_t>(seq),
-                    "SYNC arguments must be non-negative integers");
-        parsed.syncStreamId = static_cast<std::uint64_t>(stream);
-        parsed.syncSeq = static_cast<std::uint64_t>(seq);
+        parsed.syncStreamId = parseCursor(tokens[1]);
+        parsed.syncSeq = parseCursor(tokens[2]);
     } else if (command == "COHORT") {
         REF_REQUIRE(tokens.size() == 3,
                     "usage: COHORT <name> <label>");
@@ -410,8 +416,18 @@ CommandSession::finish()
 }
 
 CommandSession::LineStatus
-CommandSession::executeLine(const std::string &rawLine,
+CommandSession::executeLine(const std::string &line,
                             std::ostream &out)
+{
+    Command command;
+    const LineStatus parsed = parseLine(line, out, command);
+    return parsed == LineStatus::Parsed ? executeCommand(command, out)
+                                        : parsed;
+}
+
+CommandSession::LineStatus
+CommandSession::parseLine(const std::string &rawLine,
+                          std::ostream &out, Command &command)
 {
     std::string line = rawLine;
     if (!line.empty() && line.back() == '\r')
@@ -422,7 +438,6 @@ CommandSession::executeLine(const std::string &rawLine,
     if (options_.echo)
         out << "> " << line << "\n";
 
-    Command command;
     try {
         command = parseCommand(tokens);
     } catch (const FatalError &error) {
@@ -432,7 +447,7 @@ CommandSession::executeLine(const std::string &rawLine,
         out << "ERR " << error.what() << "\n";
         return LineStatus::Rejected;
     }
-    return executeCommand(command, out);
+    return LineStatus::Parsed;
 }
 
 CommandSession::LineStatus
@@ -468,9 +483,8 @@ CommandSession::executeCommand(const Command &command,
                 << service.liveAgents() << "\n";
             break;
         case Command::Op::Tick: {
-            // The one range guard for both framings: text parsing
-            // only checks representability, so out-of-range counts
-            // from either transport produce this exact diagnostic.
+            // The range guard: parsing only checks that the count
+            // is a representable integer.
             REF_REQUIRE(command.tickCount >= 1 &&
                             command.tickCount <= kMaxTickCount,
                         "TICK count must be an integer in [1, "
@@ -579,12 +593,11 @@ CommandSession::executeCommand(const Command &command,
             result.shutdown = true;
             return LineStatus::Shutdown;
         case Command::Op::Sync:
-            // The WAL stream is CRC32 frames; only the binary
-            // transport can carry it. The socket front-end
-            // intercepts Sync on binary connections before this
-            // point, so reaching here means a text/stdio client.
-            REF_FATAL("SYNC requires the binary protocol "
-                      "(negotiate with the REFBIN hello)");
+            // The socket front-end intercepts Sync before this
+            // point, so reaching here means a stdio session, which
+            // has no channel to carry the replication frames.
+            REF_FATAL("SYNC needs a socket connection "
+                      "(ref_serve --listen or --unix)");
         case Command::Op::Promote: {
             REF_REQUIRE(options_.follower != nullptr,
                         "not a follower (started without --follow)");

@@ -34,9 +34,11 @@
  *                                weight defaults to 1)
  *   POOL ASSIGN <name> <path>    move an agent into a pool
  *   POOL QUERY [path]            print one pool or all pools
- *   SYNC <streamId> <seq>        subscribe to the WAL stream (binary
- *                                transport only; over text it draws
- *                                an ERR pointing at the framing)
+ *   SYNC <streamId> <seq>        subscribe this socket connection to
+ *                                the WAL stream: one OK line, then
+ *                                CRC32 replication frames only
+ *                                (repl/repl_protocol.hh); over stdio
+ *                                it draws one ERR
  *   PROMOTE                      flip a warm-standby follower to
  *                                serving (fresh generation); an ERR
  *                                on a non-follower
@@ -88,17 +90,12 @@ class FollowerControl
 inline constexpr std::uint64_t kMaxTickCount = 100000;
 
 /**
- * One parsed protocol command, transport-independent: the text
- * transport produces it from a tokenized line, the binary transport
- * (svc/wire.hh) decodes it from a CRC32 frame. Executing a Command
- * produces the exact same reply bytes either way — that equivalence
- * is what lets the binary wire format ride the text protocol's
- * entire test surface.
+ * One parsed protocol line. CommandSession::parseLine produces it
+ * and executeCommand runs it, so a transport can look at a command
+ * between the two (the socket front-end intercepts SYNC there).
  */
 struct Command
 {
-    /** Values are the binary wire opcodes (svc/wire.hh); keep them
-     *  stable. */
     enum class Op : std::uint8_t
     {
         Admit = 1,
@@ -111,9 +108,9 @@ struct Command
         Metrics = 8,
         Shutdown = 9,
         Pool = 10,
-        /** Follower pull: subscribe this connection to the WAL
-         *  stream (binary transport only — the reply is a stream of
-         *  repl frames, which the text framing cannot carry). */
+        /** Follower pull: subscribe this socket connection to the
+         *  WAL stream (the socket front-end intercepts it; the
+         *  stream that follows is repl frames, not reply lines). */
         Sync = 11,
         /** Flip a follower to serving (fresh generation). */
         Promote = 12,
@@ -121,7 +118,7 @@ struct Command
         Cohort = 13,
     };
 
-    /** Pool sub-operation; values are wire bytes, keep them stable. */
+    /** Pool sub-operation. */
     enum class PoolOp : std::uint8_t
     {
         Create = 1,
@@ -230,6 +227,9 @@ class CommandSession
         Executed,  //!< Command ran and replied (OK/EPOCH/... lines).
         Rejected,  //!< Command rejected with one ERR line.
         Shutdown,  //!< SHUTDOWN accepted; the session is over.
+        /** parseLine only: the line parsed into a command that
+         *  executeCommand has not run yet. */
+        Parsed,
     };
 
     CommandSession(AllocationService &service,
@@ -248,10 +248,18 @@ class CommandSession
                            std::ostream &out);
 
     /**
-     * Execute one already-parsed command (the binary transport's
-     * entry point; executeLine funnels here after tokenizing).
-     * Counts the command, writes the identical reply block the text
-     * transport would produce, and never throws: semantic errors
+     * The parse half of executeLine: strips a trailing CR, returns
+     * Idle for a blank or comment line, echoes, and parses the line
+     * into @p command (Parsed). A line that does not parse draws its
+     * one ERR, is counted, and returns Rejected.
+     */
+    LineStatus parseLine(const std::string &line, std::ostream &out,
+                         Command &command);
+
+    /**
+     * Execute one parsed command (executeLine funnels here after
+     * parseLine). Counts the command, writes its reply block, and
+     * never throws: semantic errors
      * (bad elasticities, unknown agents, out-of-range TICK counts)
      * produce one ERR reply and LineStatus::Rejected.
      */

@@ -1,37 +1,23 @@
 /**
  * @file
- * Adversarial binary framing: every malformed frame — oversized
- * declared length, CRC corruption, an undecodable payload, torn
- * bytes at EOF — draws exactly one framed ERR and never a
- * disconnect, mirroring the text transport's one-ERR-per-bad-line
- * contract. A seeded corruption storm then checks the accounting
- * closes exactly: N bad frames in, N ERR replies out, and the
- * connection still serves valid requests afterwards.
+ * Adversarial replication channel. A follower subscribes with the
+ * text line SYNC; from then on the connection carries only CRC32
+ * replication frames, and the server reads nothing from a replica
+ * but Acks. A bad SYNC line draws exactly one ERR and the session
+ * continues; a torn, corrupt, oversized or off-protocol inbound
+ * frame drops the replica, and the follower's reconnect resyncs it
+ * from its cursor — never a silently divergent replica.
  */
 
-#include <random>
 #include <string>
 
 #include "net_test_util.hh"
 #include "repl/repl_protocol.hh"
 #include "repl/replication_hub.hh"
-#include "svc/wire.hh"
-#include "util/crc32.hh"
 #include "util/record_io.hh"
 
 namespace ref::test {
 namespace {
-
-using svc::Command;
-namespace wire = svc::wire;
-
-std::string
-statsFrame()
-{
-    Command stats;
-    stats.op = Command::Op::Stats;
-    return wire::encodeCommand(stats);
-}
 
 /** A frame whose CRC field is flipped; the payload itself is
  *  well-formed. */
@@ -43,259 +29,20 @@ corruptCrcFrame(const std::string &payload)
     return framed;
 }
 
-/** A header declaring @p length with no intention of honouring it. */
 std::string
-headerDeclaring(std::uint32_t length)
+syncLine(std::uint64_t streamId = 0, std::uint64_t seq = 0)
 {
-    ByteWriter writer;
-    writer.u32(length);
-    writer.u32(0xdeadbeef);
-    return writer.take();
+    return "SYNC " + std::to_string(streamId) + " " +
+           std::to_string(seq) + "\n";
 }
 
-wire::Reply
-expectReply(TestClient &client, int timeoutMs = 5000)
-{
-    std::string payload;
-    EXPECT_TRUE(client.readFrameUnit(payload, timeoutMs));
-    return wire::decodeReply(payload);
-}
-
-TEST(BinaryFuzz, CrcMismatchDrawsOneErrAndResyncs)
-{
-    ServerHarness harness;
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
-
-    client.sendAll(corruptCrcFrame(statsFrame()));
-    const wire::Reply err = expectReply(client);
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-    EXPECT_NE(err.text.find("CRC"), std::string::npos) << err.text;
-
-    // The stream resynced past the bad frame: the next valid frame
-    // is served normally.
-    client.sendFrame(statsFrame());
-    EXPECT_EQ(expectReply(client).status, wire::ReplyStatus::Ok);
-    client.close();
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 1u);
-    EXPECT_EQ(stats.frames, 1u);
-    EXPECT_EQ(stats.dropped, 0u);
-}
-
-TEST(BinaryFuzz, OversizedFrameIsSwallowedWithoutAllocation)
-{
-    net::ServerOptions options;
-    options.maxFrameBytes = 1024;
-    ServerHarness harness({}, options);
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
-
-    // Declare 1 MiB against a 1 KiB bound, then actually send that
-    // many bytes: the server must reply one ERR immediately and
-    // swallow the payload as it arrives (bounded memory), then serve
-    // the next valid frame.
-    const std::uint32_t declared = 1 << 20;
-    client.sendAll(headerDeclaring(declared));
-    const wire::Reply err = expectReply(client);
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-    EXPECT_NE(err.text.find("byte bound"), std::string::npos)
-        << err.text;
-    client.sendAll(std::string(declared, 'x'));
-    client.sendFrame(statsFrame());
-    EXPECT_EQ(expectReply(client, 20000).status,
-              wire::ReplyStatus::Ok);
-    client.close();
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 1u);
-    EXPECT_EQ(stats.dropped, 0u);
-}
-
-TEST(BinaryFuzz, AbsurdLengthNeverDisconnects)
-{
-    net::ServerOptions options;
-    options.maxFrameBytes = 4096;
-    ServerHarness harness({}, options);
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
-
-    // A ~4 GiB declaration: one ERR now; the discard counter covers
-    // bytes that will never come, and a fresh header after a
-    // *matching* amount of garbage would resync. Instead just
-    // confirm the ERR and that the server neither allocated nor
-    // dropped us (the connection dies by our close, not its).
-    client.sendAll(headerDeclaring(0xfffffff0u));
-    const wire::Reply err = expectReply(client);
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-    client.close();
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 1u);
-    EXPECT_EQ(stats.dropped, 0u);
-}
-
-TEST(BinaryFuzz, UndecodablePayloadDrawsOneErr)
-{
-    ServerHarness harness;
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
-
-    // CRC-valid frames whose payloads are garbage to the command
-    // decoder: unknown opcode, empty, truncated ADMIT.
-    for (const std::string &payload :
-         {std::string("\x7f", 1), std::string(),
-          wire::encodeCommand([] {
-              Command admit;
-              admit.op = Command::Op::Admit;
-              admit.name = "x";
-              admit.elasticities = {0.5};
-              return admit;
-          }())
-              .substr(0, 3)}) {
-        client.sendFrame(payload);
-        const wire::Reply err = expectReply(client);
-        EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-        EXPECT_EQ(err.text.rfind("ERR", 0), 0u) << err.text;
-    }
-    client.sendFrame(statsFrame());
-    EXPECT_EQ(expectReply(client).status, wire::ReplyStatus::Ok);
-    client.close();
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 3u);
-    EXPECT_EQ(stats.dropped, 0u);
-}
-
-TEST(BinaryFuzz, TornFrameAtEofDrawsOneErrThenCloses)
-{
-    ServerHarness harness;
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
-
-    // A frame header promising more than we ever send, then EOF:
-    // the transport analogue of the journal's torn tail.
-    const std::string whole = frameRecord(statsFrame());
-    client.sendAll(
-        std::string_view(whole).substr(0, whole.size() - 3));
-    client.shutdownWrite();
-    const wire::Reply err = expectReply(client);
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-    EXPECT_NE(err.text.find("torn"), std::string::npos) << err.text;
-    EXPECT_TRUE(client.waitForClose());
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 1u);
-}
-
-TEST(BinaryFuzz, SeededCorruptionStormAccountsExactly)
-{
-    net::ServerOptions options;
-    options.maxFrameBytes = 8192;
-    ServerHarness harness({}, options);
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
-
-    std::mt19937_64 rng(99);
-    std::size_t expectErr = 0;
-    std::size_t expectOk = 0;
-    std::size_t sent = 0;
-    for (std::size_t i = 0; i < 200; ++i) {
-        const std::string payload = statsFrame();
-        switch (rng() % 4) {
-        case 0: {  // Valid.
-            client.sendAll(frameRecord(payload));
-            ++expectOk;
-            break;
-        }
-        case 1: {  // CRC flip.
-            client.sendAll(corruptCrcFrame(payload));
-            ++expectErr;
-            break;
-        }
-        case 2: {  // Oversized, payload delivered in full.
-            const std::uint32_t declared =
-                8193 + static_cast<std::uint32_t>(rng() % 1000);
-            client.sendAll(headerDeclaring(declared));
-            client.sendAll(std::string(declared, 'z'));
-            ++expectErr;
-            break;
-        }
-        default: {  // CRC-valid garbage payload.
-            std::string garbage(1 + rng() % 16, '\0');
-            for (char &byte : garbage)
-                byte = static_cast<char>(rng() & 0xff);
-            // Opcode bytes that happen to be decodable are fine —
-            // then the payload is either a valid command (OK/ERR by
-            // semantics) or truncated (ERR). Force the undecodable
-            // case with an opcode no Command uses.
-            garbage[0] = '\x6e';
-            client.sendAll(frameRecord(garbage));
-            ++expectErr;
-            break;
-        }
-        }
-        ++sent;
-        // Lock-step: one reply per unit keeps the storm and the
-        // accounting in sync (and a hang here is a lost reply).
-        const wire::Reply reply = expectReply(client, 20000);
-        if (reply.status == wire::ReplyStatus::Err) {
-            EXPECT_EQ(reply.text.rfind("ERR", 0), 0u);
-        }
-    }
-
-    // Exact closure: every malformed unit drew one ERR, every valid
-    // one an OK, nobody was disconnected.
-    client.sendFrame(statsFrame());
-    const wire::Reply last = expectReply(client);
-    EXPECT_EQ(last.status, wire::ReplyStatus::Ok);
-    client.close();
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.frames, expectOk + 1);
-    EXPECT_EQ(stats.badFrames, expectErr);
-    EXPECT_EQ(stats.dropped, 0u);
-    EXPECT_EQ(stats.protocol.errors, expectErr);
-    EXPECT_EQ(sent, expectOk + expectErr);
-}
-
-// --- Replication (SYNC) channel -----------------------------------
-//
-// The WAL shipping stream rides the same CRC framing, so it owes the
-// same adversarial contract: a torn or corrupt frame in either
-// direction draws one ERR (or a clean drop that the follower's
-// reconnect heals via snapshot) — never a silently divergent replica.
-
-std::string
-syncFrame(std::uint64_t streamId = 0, std::uint64_t seq = 0)
-{
-    Command sync;
-    sync.op = Command::Op::Sync;
-    sync.syncStreamId = streamId;
-    sync.syncSeq = seq;
-    return wire::encodeCommand(sync);
-}
-
-/** Next wire Reply, skipping interleaved replication frames (the
- *  primary may slot a heartbeat between our request and its answer). */
-bool
-nextReply(TestClient &client, wire::Reply &out, int timeoutMs = 5000)
-{
-    std::string payload;
-    while (client.readFrameUnit(payload, timeoutMs)) {
-        if (!repl::isReplMessage(payload)) {
-            out = wire::decodeReply(payload);
-            return true;
-        }
-    }
-    return false;
-}
-
-/** Next replication frame of @p kind, skipping heartbeats and
- *  replies. */
+/** Next replication frame of @p kind, skipping heartbeats. */
 bool
 nextReplFrame(TestClient &client, repl::MessageKind kind,
               repl::ReplMessage &out, int timeoutMs = 5000)
 {
     std::string payload;
     while (client.readFrameUnit(payload, timeoutMs)) {
-        if (!repl::isReplMessage(payload))
-            continue;
         out = repl::decodeReplMessage(payload);
         if (out.kind == kind)
             return true;
@@ -303,125 +50,149 @@ nextReplFrame(TestClient &client, repl::MessageKind kind,
     return false;
 }
 
+/** A server with a hub wired in as the service's replication sink. */
+struct ReplicatingServer
+{
+    explicit ReplicatingServer(int heartbeatIntervalMs = 1000,
+                               bool echo = false)
+        : harness({}, [&] {
+              net::ServerOptions options;
+              options.replicationHub = &hub;
+              options.heartbeatIntervalMs = heartbeatIntervalMs;
+              options.session.echo = echo;
+              return options;
+          }())
+    {
+        harness.service().setReplicationSink(&hub);
+    }
+
+    const net::ServerStats &stop()
+    {
+        harness.service().setReplicationSink(nullptr);
+        return harness.stop();
+    }
+
+    repl::ReplicationHub hub;
+    ServerHarness harness;
+};
+
+/** Subscribe @p client from scratch: OK line, then the Snapshot. */
+void
+subscribe(TestClient &client, repl::ReplMessage &snapshot)
+{
+    client.sendAll(syncLine());
+    const std::string ok = client.readLines(1);
+    ASSERT_EQ(ok.rfind("OK sync stream=", 0), 0u) << ok;
+    EXPECT_NE(ok.find(" snapshot=1"), std::string::npos) << ok;
+    ASSERT_TRUE(nextReplFrame(client, repl::MessageKind::Snapshot,
+                              snapshot));
+}
+
 TEST(BinaryFuzz, TornSyncHelloDrawsOneErrThenCloses)
 {
-    repl::ReplicationHub hub;
-    net::ServerOptions options;
-    options.replicationHub = &hub;
-    ServerHarness harness({}, options);
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
+    ReplicatingServer server;
+    TestClient client(server.harness.port());
 
-    // The subscription hello torn mid-frame, then EOF: the server
-    // must answer the torn-tail ERR and never register a replica.
-    const std::string whole = frameRecord(syncFrame());
-    client.sendAll(
-        std::string_view(whole).substr(0, whole.size() - 3));
+    // A SYNC line torn before its cursor, then one torn before its
+    // newline, then EOF: the first draws the usage ERR, the second
+    // never executes, and neither registers a replica.
+    client.sendAll("SYNC 0\nSYNC 0 ");
     client.shutdownWrite();
-    wire::Reply err;
-    ASSERT_TRUE(nextReply(client, err));
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-    EXPECT_NE(err.text.find("torn"), std::string::npos) << err.text;
+    const std::string transcript = client.readToEof();
+    EXPECT_EQ(countPrefixed(transcript, "ERR "), 1u) << transcript;
+    EXPECT_NE(transcript.find("usage: SYNC <streamId> <seq>\n"),
+              std::string::npos)
+        << transcript;
+    EXPECT_EQ(transcript.find("OK"), std::string::npos) << transcript;
     EXPECT_TRUE(client.waitForClose());
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 1u);
+    const net::ServerStats &stats = server.stop();
     EXPECT_EQ(stats.replicas, 0u);
+    EXPECT_EQ(stats.protocol.errors, 1u);
 }
 
 TEST(BinaryFuzz, CorruptSyncHelloDrawsOneErrThenCleanSubscribe)
 {
-    repl::ReplicationHub hub;
-    net::ServerOptions options;
-    options.replicationHub = &hub;
-    ServerHarness harness({}, options);
-    TestClient client(harness.port());
-    ASSERT_TRUE(client.negotiateBinary());
+    ReplicatingServer server;
+    TestClient client(server.harness.port());
 
-    // CRC-flipped SYNC: one ERR, the channel survives.
-    client.sendAll(corruptCrcFrame(syncFrame()));
-    wire::Reply err;
-    ASSERT_TRUE(nextReply(client, err));
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
-    EXPECT_NE(err.text.find("CRC"), std::string::npos) << err.text;
+    // Garbled cursors: one ERR each, the session survives. A
+    // cursor past 2^64 is garbled too, not rounded.
+    client.sendAll("SYNC 0 x\nSYNC -1 0\n"
+                   "SYNC 18446744073709551616 0\n");
+    const std::string errs = client.readLines(3);
+    EXPECT_EQ(countPrefixed(errs, "ERR "), 3u) << errs;
 
-    // The retried SYNC subscribes cleanly: OK hello, then the full
+    // The retried SYNC subscribes cleanly: OK line, then the full
     // snapshot (cursor 0 on a fresh stream always resyncs).
-    client.sendFrame(syncFrame());
-    wire::Reply ok;
-    ASSERT_TRUE(nextReply(client, ok));
-    EXPECT_EQ(ok.status, wire::ReplyStatus::Ok);
-    EXPECT_NE(ok.text.find("sync"), std::string::npos) << ok.text;
     repl::ReplMessage snapshot;
-    ASSERT_TRUE(nextReplFrame(client, repl::MessageKind::Snapshot,
-                              snapshot));
-    EXPECT_EQ(snapshot.streamId, hub.streamId());
+    subscribe(client, snapshot);
+    EXPECT_EQ(snapshot.streamId, server.hub.streamId());
     client.close();
-    const net::ServerStats &stats = harness.stop();
-    EXPECT_EQ(stats.badFrames, 1u);
+    const net::ServerStats &stats = server.stop();
     EXPECT_EQ(stats.replicas, 1u);
+    EXPECT_EQ(stats.badFrames, 0u);
+}
+
+TEST(BinaryFuzz, EchoedSessionStillAnswersSyncWithOneLine)
+{
+    // A server that echoes command lines (--echo) echoes none for
+    // SYNC: a subscriber reads exactly one reply line, then frames.
+    ReplicatingServer server(/*heartbeatIntervalMs=*/1000,
+                             /*echo=*/true);
+    TestClient client(server.harness.port());
+    repl::ReplMessage snapshot;
+    subscribe(client, snapshot);
+    EXPECT_EQ(snapshot.streamId, server.hub.streamId());
+    client.close();
+    EXPECT_EQ(server.stop().replicas, 1u);
 }
 
 TEST(BinaryFuzz, CorruptAckMidStreamKeepsRecordsFlowing)
 {
-    repl::ReplicationHub hub;
-    net::ServerOptions options;
-    options.replicationHub = &hub;
-    options.heartbeatIntervalMs = 50;
-    ServerHarness harness({}, options);
-    harness.service().setReplicationSink(&hub);
-
-    TestClient follower(harness.port());
-    ASSERT_TRUE(follower.negotiateBinary());
-    follower.sendFrame(syncFrame());
-    wire::Reply ok;
-    ASSERT_TRUE(nextReply(follower, ok));
-    ASSERT_EQ(ok.status, wire::ReplyStatus::Ok);
+    ReplicatingServer server(/*heartbeatIntervalMs=*/50);
+    TestClient follower(server.harness.port());
     repl::ReplMessage snapshot;
-    ASSERT_TRUE(nextReplFrame(follower, repl::MessageKind::Snapshot,
-                              snapshot));
+    subscribe(follower, snapshot);
 
-    // A CRC-corrupt Ack mid-stream: framing-level damage draws the
-    // standard one ERR and the subscription stays live.
+    // A CRC-corrupt Ack mid-stream is off-protocol: the replica is
+    // dropped rather than trusted.
     repl::ReplMessage ack;
     ack.kind = repl::MessageKind::Ack;
-    follower.sendAll(
-        corruptCrcFrame(repl::encodeReplMessage(ack)));
-    wire::Reply err;
-    ASSERT_TRUE(nextReply(follower, err));
-    EXPECT_EQ(err.status, wire::ReplyStatus::Err);
+    ack.seq = snapshot.seq;
+    follower.sendAll(corruptCrcFrame(repl::encodeReplMessage(ack)));
+    EXPECT_TRUE(follower.waitForClose());
 
-    // New WAL records still reach the surviving subscription.
-    TestClient driver(harness.port());
+    // New WAL records land while the follower is away...
+    TestClient driver(server.harness.port());
     driver.sendAll("ADMIT web 1.0 0.4\nTICK 1\n");
     driver.readLines(2);
-    repl::ReplMessage record;
-    ASSERT_TRUE(nextReplFrame(follower, repl::MessageKind::Record,
-                              record));
-    EXPECT_GE(record.seq, 1u);
 
-    follower.close();
+    // ...and its reconnect resumes from the cursor it holds: no
+    // snapshot, the records flow on from the next sequence.
+    TestClient again(server.harness.port());
+    again.sendAll(syncLine(snapshot.streamId, snapshot.seq));
+    const std::string ok = again.readLines(1);
+    EXPECT_EQ(ok.rfind("OK sync stream=", 0), 0u) << ok;
+    EXPECT_NE(ok.find(" snapshot=0"), std::string::npos) << ok;
+    repl::ReplMessage record;
+    ASSERT_TRUE(nextReplFrame(again, repl::MessageKind::Record,
+                              record));
+    EXPECT_EQ(record.seq, snapshot.seq + 1);
+
+    again.close();
     driver.close();
-    harness.service().setReplicationSink(nullptr);
-    const net::ServerStats &stats = harness.stop();
+    const net::ServerStats &stats = server.stop();
     EXPECT_EQ(stats.badFrames, 1u);
-    EXPECT_EQ(stats.replicas, 1u);
-    EXPECT_EQ(stats.dropped, 0u);
+    EXPECT_EQ(stats.replicas, 2u);
+    EXPECT_EQ(stats.dropped, 1u);
 }
 
 TEST(BinaryFuzz, UndecodableReplicaFrameDropsThenResyncHeals)
 {
-    repl::ReplicationHub hub;
-    net::ServerOptions options;
-    options.replicationHub = &hub;
-    ServerHarness harness({}, options);
-    harness.service().setReplicationSink(&hub);
-
-    TestClient broken(harness.port());
-    ASSERT_TRUE(broken.negotiateBinary());
-    broken.sendFrame(syncFrame());
-    wire::Reply ok;
-    ASSERT_TRUE(nextReply(broken, ok));
-    ASSERT_EQ(ok.status, wire::ReplyStatus::Ok);
+    ReplicatingServer server;
+    TestClient broken(server.harness.port());
+    repl::ReplMessage snapshot;
+    subscribe(broken, snapshot);
 
     // CRC-valid but not an Ack (a truncated Record kind byte): a
     // replica off-protocol is dropped — the reconnect path owns the
@@ -431,19 +202,47 @@ TEST(BinaryFuzz, UndecodableReplicaFrameDropsThenResyncHeals)
 
     // The drop healed, not hid: a fresh subscription resyncs from a
     // snapshot as if nothing happened.
-    TestClient again(harness.port());
-    ASSERT_TRUE(again.negotiateBinary());
-    again.sendFrame(syncFrame());
-    ASSERT_TRUE(nextReply(again, ok));
-    EXPECT_EQ(ok.status, wire::ReplyStatus::Ok);
-    repl::ReplMessage snapshot;
-    ASSERT_TRUE(nextReplFrame(again, repl::MessageKind::Snapshot,
-                              snapshot));
+    TestClient again(server.harness.port());
+    subscribe(again, snapshot);
     again.close();
-    harness.service().setReplicationSink(nullptr);
-    const net::ServerStats &stats = harness.stop();
+    const net::ServerStats &stats = server.stop();
     EXPECT_EQ(stats.badFrames, 1u);
     EXPECT_EQ(stats.replicas, 2u);
+}
+
+TEST(BinaryFuzz, OversizedAckFrameDropsReplicaBeforeBuffering)
+{
+    ReplicatingServer server;
+    TestClient follower(server.harness.port());
+    repl::ReplMessage snapshot;
+    subscribe(follower, snapshot);
+
+    // A header declaring 1 MiB, and not a byte of it: the declared
+    // length alone is off-protocol for an Ack, so the drop comes
+    // now, not after the server has buffered a megabyte.
+    ByteWriter header;
+    header.u32(1u << 20);
+    header.u32(0xdeadbeef);
+    follower.sendAll(header.take());
+    EXPECT_TRUE(follower.waitForClose());
+    const net::ServerStats &stats = server.stop();
+    EXPECT_EQ(stats.badFrames, 1u);
+    EXPECT_EQ(stats.dropped, 1u);
+}
+
+TEST(BinaryFuzz, SyncWithoutHubDrawsOneErrAndSessionContinues)
+{
+    ServerHarness harness;
+    TestClient client(harness.port());
+    client.sendAll(syncLine() + "STATS\n");
+    const std::string err = client.readLines(1);
+    EXPECT_EQ(err, "ERR replication not enabled\n");
+    EXPECT_NE(client.readLines(1).find("admits="), std::string::npos);
+    client.close();
+    const net::ServerStats &stats = harness.stop();
+    EXPECT_EQ(stats.replicas, 0u);
+    EXPECT_EQ(stats.dropped, 0u);
+    EXPECT_EQ(stats.protocol.errors, 1u);
 }
 
 } // namespace

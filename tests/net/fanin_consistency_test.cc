@@ -144,8 +144,8 @@ TEST(FanInConsistency, SocketChurnMatchesStdioReplayBitForBit)
 }
 
 // The ShardedServer ids below predate the one-loop server (DESIGN.md
-// "Wire format (binary framing) and one event loop"); each checks, on
-// the one loop, what it used to check across shards.
+// "Text clients, a framed replication stream and one event loop");
+// each checks, on the one loop, what it used to check across shards.
 
 TEST(ShardedServer, SingleShardDegeneratesToClassicServer)
 {

@@ -25,7 +25,6 @@
 
 #include "net/socket_server.hh"
 #include "svc/allocation_service.hh"
-#include "svc/wire.hh"
 #include "util/record_io.hh"
 
 namespace ref::test {
@@ -174,22 +173,10 @@ class TestClient
     }
 
     /** Half-close: no more bytes from us, reads stay open — how a
-     *  binary test hands the server a torn frame at EOF. */
+     *  test hands the server a torn line at EOF. */
     void shutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
-    /** Send the binary hello and consume the ack frame; true when
-     *  the server acknowledged the negotiation. */
-    bool negotiateBinary(int timeoutMs = 5000)
-    {
-        sendAll(svc::wire::helloMagic());
-        std::string payload;
-        if (!readFrameUnit(payload, timeoutMs))
-            return false;
-        return svc::wire::decodeReply(payload).status ==
-               svc::wire::ReplyStatus::Hello;
-    }
-
-    /** Frame and send one binary request payload. */
+    /** Frame and send one payload (a replica's Ack). */
     void sendFrame(std::string_view payload)
     {
         sendAll(frameRecord(payload));

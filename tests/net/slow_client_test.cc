@@ -119,6 +119,39 @@ TEST(SlowClient, SlowLorisReaderIsDroppedWithoutStallingTicks)
               100'000'000ull * static_cast<std::uint64_t>(kTimingSlack));
 }
 
+TEST(SlowClient, PipelinedBurstPastTheBacklogBoundIsServedInFull)
+{
+    // A reading client that pipelines more reply bytes than the
+    // overflow cap (several MiB of METRICS prom against 2 MiB, which
+    // one 4 KiB read of such lines would pass if all were rendered
+    // at once) is not dropped: its lines wait while its backlog is
+    // over the dispatch bound and resume as it drains, in order. It
+    // half-closes right after the burst, so the held lines must also
+    // go before the server reads that EOF.
+    net::ServerOptions options;
+    options.maxPendingBytes = 2 << 20;
+    test::ServerHarness harness({}, options);
+    test::TestClient client(harness.port());
+    constexpr std::size_t kScrapes = 600;
+    std::string burst;
+    for (std::size_t i = 0; i < kScrapes; ++i)
+        burst += "METRICS prom\n";
+    client.sendAll(burst + "STATS\n");
+    client.shutdownWrite();
+    const std::string transcript = client.readToEof(60000);
+    EXPECT_GT(transcript.size(), 2 * options.maxPendingBytes);
+    EXPECT_EQ(test::countPrefixed(transcript,
+                                  "# TYPE ref_admits_total counter"),
+              kScrapes);
+    const std::size_t stats = transcript.rfind("admits=");
+    ASSERT_NE(stats, std::string::npos);
+    EXPECT_GT(stats, transcript.rfind("# TYPE ref_admits_total"));
+    EXPECT_EQ(transcript.back(), '\n');
+    const net::ServerStats &serverStats = harness.stop();
+    EXPECT_EQ(serverStats.overflowDrops, 0u);
+    EXPECT_EQ(serverStats.dropped, 0u);
+}
+
 TEST(SlowClient, HalfOpenPeerTripsIdleTimeout)
 {
     net::ServerOptions options;

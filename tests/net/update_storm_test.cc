@@ -1,7 +1,6 @@
 /**
  * @file
- * Mid-epoch UPDATE storms: several connections (text and binary)
- * blast interleaved, unsynchronized re-reports — valid, invalid, and
+ * Mid-epoch UPDATE storms: several connections blast interleaved, unsynchronized re-reports — valid, invalid, and
  * repeated — while a separate connection keeps ticking epochs. The
  * server must answer every line, keep the incremental allocation
  * bit-identical to the from-scratch recompute (selfcheck=ok on every
@@ -11,6 +10,7 @@
  * purpose, driven here to far nastier interleavings.
  */
 
+#include <iomanip>
 #include <random>
 #include <sstream>
 #include <string>
@@ -100,16 +100,16 @@ TEST(UpdateStorm, NeverTripsSelfCheckOrFairness)
                   kAgents);
     }
 
-    // Three text stormers plus one binary one, all re-reporting the
-    // same agents: the server's view of an agent is whatever UPDATE
-    // it processed last, and the selfcheck must agree regardless.
+    // Three fuzzing stormers plus one sending only valid UPDATEs at
+    // full double precision, all re-reporting the same agents: the
+    // server's view of an agent is whatever UPDATE it processed
+    // last, and the selfcheck must agree regardless.
     constexpr std::size_t kTextClients = 3;
     std::vector<std::unique_ptr<test::TestClient>> stormers;
     for (std::size_t c = 0; c < kTextClients; ++c)
         stormers.push_back(
             std::make_unique<test::TestClient>(harness.port()));
-    test::TestClient binaryStormer(harness.port());
-    ASSERT_TRUE(binaryStormer.negotiateBinary());
+    test::TestClient preciseStormer(harness.port());
 
     std::mt19937 rng(20260808);
     std::uniform_real_distribution<double> elasticity(0.05, 4.0);
@@ -128,18 +128,13 @@ TEST(UpdateStorm, NeverTripsSelfCheckOrFairness)
                 wire += line + "\n";
             stormers[c]->sendAll(wire);
         }
-        std::vector<std::string> binaryUpdates;
-        for (std::size_t i = 0; i < kBurst; ++i) {
-            svc::Command update;
-            update.op = svc::Command::Op::Update;
-            update.name = agentName(rng() % kAgents);
-            update.elasticities = {elasticity(rng),
-                                   elasticity(rng)};
-            binaryUpdates.push_back(
-                svc::wire::encodeCommand(update));
-        }
-        for (const std::string &payload : binaryUpdates)
-            binaryStormer.sendFrame(payload);
+        std::ostringstream precise;
+        precise << std::setprecision(17);
+        for (std::size_t i = 0; i < kBurst; ++i)
+            precise << "UPDATE " << agentName(rng() % kAgents) << " "
+                    << elasticity(rng) << " " << elasticity(rng)
+                    << "\n";
+        preciseStormer.sendAll(precise.str());
 
         // 2. Tick while the bursts are still in flight.
         control.sendAll("TICK\n");
@@ -157,13 +152,10 @@ TEST(UpdateStorm, NeverTripsSelfCheckOrFairness)
             totalBad += bursts[c].badLines;
             totalErrs += errs;
         }
-        for (std::size_t i = 0; i < binaryUpdates.size(); ++i) {
-            std::string payload;
-            ASSERT_TRUE(binaryStormer.readFrameUnit(payload));
-            const auto reply = svc::wire::decodeReply(payload);
-            EXPECT_EQ(reply.status, svc::wire::ReplyStatus::Ok)
-                << reply.text;
-        }
+        const std::string preciseReplies =
+            preciseStormer.readLines(kBurst);
+        EXPECT_EQ(test::countPrefixed(preciseReplies, "OK "), kBurst)
+            << preciseReplies;
         const std::string epoch = control.readLines(1);
         ASSERT_EQ(test::countPrefixed(epoch, "EPOCH "), 1u)
             << epoch;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Replication frame codec: round-trips, kind-range discrimination
- * against command/reply payloads, and malformed-byte rejection.
+ * Replication frame codec: round-trips, the kind byte range, and
+ * malformed-byte rejection.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <string>
 
 #include "repl/repl_protocol.hh"
-#include "svc/wire.hh"
 #include "util/logging.hh"
 
 namespace ref::repl {
@@ -68,20 +67,25 @@ TEST(ReplProtocol, HeartbeatAndAckRoundTrip)
 
 TEST(ReplProtocol, KindRangeIsDisjointFromCommandsAndReplies)
 {
-    // Replication kinds occupy 0x40..0x43; command payloads start
-    // with an opcode (1..12) and replies with a status (0..3). A
-    // misrouted payload must never sniff as a replication frame.
-    svc::Command command;
-    command.op = svc::Command::Op::Sync;
-    EXPECT_FALSE(isReplMessage(svc::wire::encodeCommand(command)));
-    EXPECT_FALSE(isReplMessage(
-        svc::wire::encodeReply(svc::wire::ReplyStatus::Ok, "OK\n")));
-
-    ReplMessage heartbeat;
-    heartbeat.kind = MessageKind::Heartbeat;
-    EXPECT_TRUE(isReplMessage(encodeReplMessage(heartbeat)));
-    EXPECT_FALSE(isReplMessage(""));
-    EXPECT_FALSE(isReplMessage("\x44"));
+    // Only replication frames share the CRC framing now, so what is
+    // left to pin is the replication half: every kind encodes as its
+    // own first byte in 0x40..0x43, and the bytes just outside that
+    // range (or no byte at all) decode loudly, never plausibly.
+    for (const MessageKind kind :
+         {MessageKind::Snapshot, MessageKind::Record,
+          MessageKind::Heartbeat, MessageKind::Ack}) {
+        ReplMessage message;
+        message.kind = kind;
+        const std::string payload = encodeReplMessage(message);
+        ASSERT_FALSE(payload.empty());
+        EXPECT_EQ(static_cast<std::uint8_t>(payload.front()),
+                  static_cast<std::uint8_t>(kind));
+        EXPECT_GE(static_cast<std::uint8_t>(payload.front()), 0x40);
+        EXPECT_LE(static_cast<std::uint8_t>(payload.front()), 0x43);
+    }
+    EXPECT_THROW(decodeReplMessage(""), FatalError);
+    EXPECT_THROW(decodeReplMessage("\x3f"), FatalError);
+    EXPECT_THROW(decodeReplMessage("\x44"), FatalError);
 }
 
 TEST(ReplProtocol, RejectsUnknownKind)

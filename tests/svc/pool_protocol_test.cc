@@ -2,8 +2,7 @@
  * @file
  * POOL command surface: text grammar, execution semantics against a
  * pooled service, rejection on flat services, the pooled METRICS
- * fairness export, and the binary wire round-trip of every pool
- * sub-op.
+ * fairness export, and the parse of every pool sub-op line.
  */
 
 #include <sstream>
@@ -13,7 +12,6 @@
 
 #include "svc/allocation_service.hh"
 #include "svc/protocol.hh"
-#include "svc/wire.hh"
 #include "util/logging.hh"
 
 namespace {
@@ -154,42 +152,47 @@ TEST(PoolProtocol, PooledMetricsFairnessIsLabelled)
 
 TEST(PoolProtocol, WireRoundTripsEveryPoolSubOp)
 {
-    Command create;
-    create.op = Command::Op::Pool;
-    create.poolOp = Command::PoolOp::Create;
-    create.poolPath = "teams/blue";
-    create.poolWeight = 2.5;
-
-    Command assign;
-    assign.op = Command::Op::Pool;
-    assign.poolOp = Command::PoolOp::Assign;
-    assign.name = "agent7";
-    assign.poolPath = "teams/blue";
-
-    Command queryAll;
-    queryAll.op = Command::Op::Pool;
-    queryAll.poolOp = Command::PoolOp::Query;
-
-    Command queryOne = queryAll;
-    queryOne.poolPath = "teams";
-
-    for (const Command &command :
-         {create, assign, queryAll, queryOne}) {
-        const Command decoded =
-            svc::wire::decodeCommand(svc::wire::encodeCommand(command));
-        EXPECT_EQ(decoded.op, Command::Op::Pool);
-        EXPECT_EQ(decoded.poolOp, command.poolOp);
-        EXPECT_EQ(decoded.poolPath, command.poolPath);
-        EXPECT_EQ(decoded.name, command.name);
-        EXPECT_EQ(decoded.poolWeight, command.poolWeight);
+    // Every POOL sub-op line parses into the command it spells, and
+    // a line cut short draws one ERR instead of a misread.
+    AllocationService service(pooledConfig());
+    svc::CommandSession session(service);
+    struct Case
+    {
+        std::string line;
+        Command::PoolOp poolOp;
+        std::string poolPath;
+        std::string name;
+        double poolWeight;
+    };
+    for (const Case &expected :
+         {Case{"POOL CREATE teams/blue 2.5", Command::PoolOp::Create,
+               "teams/blue", "", 2.5},
+          Case{"POOL ASSIGN agent7 teams/blue",
+               Command::PoolOp::Assign, "teams/blue", "agent7", 1.0},
+          Case{"POOL QUERY", Command::PoolOp::Query, "", "", 1.0},
+          Case{"POOL QUERY teams", Command::PoolOp::Query, "teams", "",
+               1.0}}) {
+        std::ostringstream out;
+        Command parsed;
+        EXPECT_EQ(session.parseLine(expected.line, out, parsed),
+                  svc::CommandSession::LineStatus::Parsed)
+            << expected.line;
+        EXPECT_TRUE(out.str().empty()) << out.str();
+        EXPECT_EQ(parsed.op, Command::Op::Pool);
+        EXPECT_EQ(parsed.poolOp, expected.poolOp);
+        EXPECT_EQ(parsed.poolPath, expected.poolPath);
+        EXPECT_EQ(parsed.name, expected.name);
+        EXPECT_EQ(parsed.poolWeight, expected.poolWeight);
     }
 
-    // A truncated pool frame is rejected, not misread.
-    const std::string bytes = svc::wire::encodeCommand(create);
-    EXPECT_THROW(
-        svc::wire::decodeCommand(
-            std::string_view(bytes).substr(0, bytes.size() - 2)),
-        FatalError);
+    std::ostringstream out;
+    Command parsed;
+    EXPECT_EQ(session.parseLine("POOL ASSIGN agent7", out, parsed),
+              svc::CommandSession::LineStatus::Rejected);
+    EXPECT_EQ(out.str().rfind("ERR ", 0), 0u) << out.str();
+    EXPECT_NE(out.str().find("usage: POOL ASSIGN"), std::string::npos)
+        << out.str();
+    EXPECT_EQ(session.result().errors, 1u);
 }
 
 } // namespace

@@ -182,6 +182,24 @@ TEST(Protocol, ShutdownRepliesOkAndEndsSession)
     EXPECT_EQ(service.metrics().epochs, 1u);
 }
 
+TEST(Protocol, SyncOverStdioDrawsOneErrAndSessionContinues)
+{
+    // The replication stream needs a socket to carry its frames: a
+    // stdio SYNC is one rejected command, and the session goes on.
+    AllocationService service;
+    std::string output;
+    const auto result =
+        run(service, "SYNC 0 0\nADMIT a 0.5 0.5\nTICK\n", output);
+    EXPECT_EQ(result.errors, 1u);
+    EXPECT_EQ(result.commands, 3u);
+    EXPECT_EQ(output.rfind("ERR ", 0), 0u) << output;
+    EXPECT_NE(output.find("SYNC needs a socket connection"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("OK admitted a"), std::string::npos);
+    EXPECT_EQ(service.metrics().epochs, 1u);
+}
+
 TEST(Protocol, StopFlagEndsSessionBetweenCommands)
 {
     AllocationService service;

@@ -20,7 +20,7 @@
  * wall_ns is NOT wall-clock — it is the deterministic epoch count
  * the dynamics consumed (baseline tick + one per re-report round),
  * so the regression gate tracks convergence cost, and the same seed
- * produces byte-identical stdout across text vs binary framing
+ * produces byte-identical stdout run after run against one server
  * (scripts/adversary_determinism.sh asserts exactly that). Real
  * timings go to stderr only.
  *
@@ -29,7 +29,7 @@
  * and allocations depend only on the live population.
  *
  * Usage:
- *   ref_adversary --connect ADDR:PORT [--binary] [--agents N]
+ *   ref_adversary --connect ADDR:PORT [--agents N]
  *                 [--liars K] [--epochs E] [--seed S] [--tol T]
  *                 [--capacity C0,C1,...] [--sweep N1,N2,...]
  *                 [--tag STR]
@@ -52,7 +52,6 @@ using namespace ref;
 struct CliOptions
 {
     std::string connect;
-    bool binary = false;
     std::size_t agents = 8;
     std::size_t liars = 1;
     std::uint64_t epochs = 16;
@@ -70,7 +69,7 @@ usage(const char *argv0, const std::string &error = "")
         std::cerr << "error: " << error << "\n\n";
     std::cerr
         << "usage: " << argv0
-        << " --connect ADDR:PORT [--binary] [--agents N]\n"
+        << " --connect ADDR:PORT [--agents N]\n"
            "          [--liars K] [--epochs E] [--seed S] [--tol T]\n"
            "          [--capacity C0,C1,...] [--sweep N1,N2,...]\n"
            "          [--tag STR]\n\n"
@@ -116,8 +115,6 @@ parseArgs(int argc, char **argv)
         };
         if (arg == "--connect") {
             options.connect = next();
-        } else if (arg == "--binary") {
-            options.binary = true;
         } else if (arg == "--agents") {
             options.agents = static_cast<std::size_t>(
                 parseCount(argv[0], arg, next()));
@@ -231,7 +228,6 @@ main(int argc, char **argv)
         for (const std::size_t population : sizes) {
             adv::FleetOptions options;
             options.connect = cli.connect;
-            options.binary = cli.binary;
             options.agents = population;
             options.liars = std::min(cli.liars, population);
             options.maxRounds = cli.epochs;

@@ -3,10 +3,9 @@
  * Deterministic socket load generator for ref_serve.
  *
  * Drives N concurrent TCP connections at a running ref_serve with a
- * seeded, reproducible stream of protocol commands — text lines or
- * binary frames (svc/wire.hh), closed- or open-loop — and reports
- * throughput plus p50/p90/p99 request latency as one BENCH-schema
- * JSON record on stdout:
+ * seeded, reproducible stream of protocol command lines, closed- or
+ * open-loop — and reports throughput plus p50/p90/p99 request
+ * latency as one BENCH-schema JSON record on stdout:
  *
  *   {"name": ..., "wall_ns": <ns per op>, "iterations": <ops>,
  *    "ops_per_sec": ..., "p50_ns": ..., "p90_ns": ..., "p99_ns": ...}
@@ -16,7 +15,7 @@
  * same BENCH_*.json trail as every other perf number.
  *
  * Usage:
- *   ref_bomb --connect ADDR:PORT [--binary] [--connections N]
+ *   ref_bomb --connect ADDR:PORT [--connections N]
  *            [--ops N] [--seed S] [--mode closed|open] [--window W]
  *            [--rate OPS_PER_SEC] [--mix A:U:D:T:Q] [--name NAME]
  *            [--pools N] [--pool-skew uniform|zipf] [--preload K]
@@ -38,7 +37,7 @@
  * kernel interleaves connections. The mix weights choose between
  * ADMIT : UPDATE : DEPART : TICK 1 : QUERY <name>, all single-reply
  * commands, so closed-loop accounting is exact: one request unit in,
- * one reply unit out (a line in text framing, a frame in binary).
+ * one reply line out.
  *
  * Closed loop (--mode closed): each connection keeps --window
  * requests outstanding and sends the next only after a reply, so
@@ -78,9 +77,7 @@
 #include <vector>
 
 #include "svc/protocol.hh"
-#include "svc/wire.hh"
 #include "util/logging.hh"
-#include "util/record_io.hh"
 
 namespace {
 
@@ -100,7 +97,6 @@ struct CliOptions
 {
     std::string connect;       //!< "addr:port", required.
     std::string name = "socket";
-    bool binary = false;
     std::size_t connections = 4;
     std::uint64_t ops = 2000;  //!< Per connection.
     std::uint64_t seed = 42;
@@ -146,7 +142,7 @@ usage(const char *argv0, const std::string &error = "")
         std::cerr << "error: " << error << "\n\n";
     std::cerr
         << "usage: " << argv0
-        << " --connect ADDR:PORT [--binary] [--connections N]\n"
+        << " --connect ADDR:PORT [--connections N]\n"
            "          [--ops N] [--seed S] [--mode closed|open]\n"
            "          [--window W] [--rate OPS_PER_SEC]\n"
            "          [--mix A:U:D:T:Q] [--max-live N]\n"
@@ -155,11 +151,11 @@ usage(const char *argv0, const std::string &error = "")
            "          [--expect-failover] [--failover-to ADDR:PORT]\n\n"
            "Seeded load generator for ref_serve's socket front-end:\n"
            "N connections send a deterministic ADMIT/UPDATE/DEPART/\n"
-           "TICK/QUERY stream (text lines, or binary frames with\n"
-           "--binary), closed-loop with --window outstanding or\n"
-           "open-loop paced at --rate ops/sec total, and print one\n"
-           "BENCH-schema JSON record (throughput + p50/p90/p99\n"
-           "latency, plus TICK-only percentiles) on stdout.\n"
+           "TICK/QUERY line stream, closed-loop with --window\n"
+           "outstanding or open-loop paced at --rate ops/sec\n"
+           "total, and print one BENCH-schema JSON record\n"
+           "(throughput + p50/p90/p99 latency, plus TICK-only\n"
+           "percentiles) on stdout.\n"
            "--pools N targets a pooled server: an untimed prologue\n"
            "creates p0..p<N-1> and preloads --preload agents per\n"
            "connection, then every measured ADMIT pairs with a POOL\n"
@@ -204,8 +200,6 @@ parseArgs(int argc, char **argv)
             options.connect = next();
         } else if (arg == "--name") {
             options.name = next();
-        } else if (arg == "--binary") {
-            options.binary = true;
         } else if (arg == "--connections") {
             options.connections = static_cast<std::size_t>(
                 parseCount(argv[0], arg, next()));
@@ -340,8 +334,7 @@ sendAll(int fd, std::string_view bytes)
     }
 }
 
-/** Buffered reply reader: one unit = one line (text) or one frame
- *  (binary). */
+/** Buffered reply reader: one unit = one line. */
 struct ReplyStream
 {
     int fd = -1;
@@ -376,25 +369,6 @@ struct ReplyStream
                 offset = newline + 1;
                 return true;
             }
-            if (!fill())
-                return false;
-        }
-    }
-
-    /** Consume one CRC32 frame; the payload is copied out. */
-    bool readFrameUnit(std::string &payload)
-    {
-        for (;;) {
-            std::size_t at = offset;
-            std::string_view view;
-            const FrameStatus status = readFrame(buffer, at, view);
-            if (status == FrameStatus::Ok) {
-                payload.assign(view);
-                offset = at;
-                return true;
-            }
-            REF_REQUIRE(status != FrameStatus::Corrupt,
-                        "corrupt reply frame from server");
             if (!fill())
                 return false;
         }
@@ -642,14 +616,11 @@ struct ConnResult
     bool failed = false;        //!< Connect/IO failure.
 };
 
-/** Did this reply unit carry an ERR? (Sanity accounting only.) */
+/** Did this reply line carry an ERR? (Sanity accounting only.) */
 bool
-replyIsError(const CliOptions &options, const std::string &unit)
+replyIsError(const std::string &unit)
 {
-    if (!options.binary)
-        return unit.rfind("ERR", 0) == 0;
-    const svc::wire::Reply reply = svc::wire::decodeReply(unit);
-    return reply.status == svc::wire::ReplyStatus::Err;
+    return unit.rfind("ERR", 0) == 0;
 }
 
 /** Untimed prologue: pool creates plus preload admits, pipelined
@@ -657,8 +628,7 @@ replyIsError(const CliOptions &options, const std::string &unit)
  *  ERR here is a configuration mistake (e.g. --pools against a flat
  *  server), not load noise — fail loudly. */
 void
-runSetup(const CliOptions &options, int fd, ReplyStream &replies,
-         CommandStream &stream)
+runSetup(int fd, ReplyStream &replies, CommandStream &stream)
 {
     std::vector<svc::Command> setup = stream.setupCommands();
     {
@@ -673,23 +643,13 @@ runSetup(const CliOptions &options, int fd, ReplyStream &replies,
     std::size_t done = 0;
     while (done < setup.size()) {
         while (sent < setup.size() && sent - done < kSetupWindow) {
-            const std::string bytes =
-                options.binary
-                    ? frameRecord(
-                          svc::wire::encodeCommand(setup[sent]))
-                    : CommandStream::toLine(setup[sent]);
-            sendAll(fd, bytes);
+            sendAll(fd, CommandStream::toLine(setup[sent]));
             ++sent;
         }
-        const bool ok = options.binary ? replies.readFrameUnit(unit)
-                                       : replies.readLine(unit);
-        REF_REQUIRE(ok, "server closed during setup");
-        if (replyIsError(options, unit)) {
-            const std::string text =
-                options.binary ? svc::wire::decodeReply(unit).text
-                               : unit + "\n";
-            REF_FATAL("setup command rejected: " << text);
-        }
+        REF_REQUIRE(replies.readLine(unit),
+                    "server closed during setup");
+        if (replyIsError(unit))
+            REF_FATAL("setup command rejected: " << unit);
         ++done;
     }
 }
@@ -707,17 +667,9 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
     const auto openSession = [&] {
         fd = connectTo(target);
         replies = ReplyStream{fd, {}, 0};
-        if (options.binary) {
-            sendAll(fd, svc::wire::helloMagic());
-            REF_REQUIRE(replies.readFrameUnit(unit),
-                        "no hello ack from server");
-            REF_REQUIRE(svc::wire::decodeReply(unit).status ==
-                            svc::wire::ReplyStatus::Hello,
-                        "bad hello ack from server");
-        }
     };
     openSession();
-    runSetup(options, fd, replies, stream);
+    runSetup(fd, replies, stream);
 
     result.latenciesNs.reserve(options.ops);
     std::deque<std::pair<std::uint64_t, bool>> sentAt;
@@ -748,14 +700,8 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
         while (nowNs() - gapStart < kGiveUpNs) {
             try {
                 openSession();
-                sendAll(fd, options.binary
-                                ? frameRecord(svc::wire::encodeCommand(
-                                      probe))
-                                : CommandStream::toLine(probe));
-                const bool ok = options.binary
-                                    ? replies.readFrameUnit(unit)
-                                    : replies.readLine(unit);
-                if (ok && !replyIsError(options, unit)) {
+                sendAll(fd, CommandStream::toLine(probe));
+                if (replies.readLine(unit) && !replyIsError(unit)) {
                     result.failoverGapNs = nowNs() - gapStart;
                     return true;
                 }
@@ -777,21 +723,14 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
             while (sent < options.ops &&
                    sentAt.size() < options.window) {
                 const svc::Command command = stream.next();
-                const std::string bytes =
-                    options.binary
-                        ? frameRecord(
-                              svc::wire::encodeCommand(command))
-                        : CommandStream::toLine(command);
+                const std::string bytes = CommandStream::toLine(command);
                 sentAt.emplace_back(nowNs(),
                                     command.op ==
                                         svc::Command::Op::Tick);
                 sendAll(fd, bytes);
                 ++sent;
             }
-            const bool ok = options.binary
-                                ? replies.readFrameUnit(unit)
-                                : replies.readLine(unit);
-            if (!ok) {
+            if (!replies.readLine(unit)) {
                 if (failOver())
                     continue;
                 result.failed = true;
@@ -808,7 +747,7 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
         if (sentAt.front().second)
             result.tickLatenciesNs.push_back(latency);
         sentAt.pop_front();
-        if (replyIsError(options, unit))
+        if (replyIsError(unit))
             ++result.errors;
         ++done;
     }
@@ -825,13 +764,7 @@ runOpenLoop(const CliOptions &options, std::size_t conn,
     ReplyStream replies{fd, {}, 0};
     CommandStream stream(options, conn);
     std::string unit;
-
-    if (options.binary) {
-        sendAll(fd, svc::wire::helloMagic());
-        REF_REQUIRE(replies.readFrameUnit(unit),
-                    "no hello ack from server");
-    }
-    runSetup(options, fd, replies, stream);
+    runSetup(fd, replies, stream);
 
     constexpr std::size_t kMaxOutstanding = 4096;
     std::mutex mutex;
@@ -851,10 +784,7 @@ runOpenLoop(const CliOptions &options, std::size_t conn,
             std::this_thread::sleep_until(
                 start + std::chrono::nanoseconds(k * intervalNs));
             const svc::Command command = stream.next();
-            const std::string bytes =
-                options.binary
-                    ? frameRecord(svc::wire::encodeCommand(command))
-                    : CommandStream::toLine(command);
+            const std::string bytes = CommandStream::toLine(command);
             {
                 std::unique_lock<std::mutex> lock(mutex);
                 if (sentAt.size() >= kMaxOutstanding) {
@@ -875,10 +805,7 @@ runOpenLoop(const CliOptions &options, std::size_t conn,
 
     result.latenciesNs.reserve(options.ops);
     for (std::uint64_t done = 0; done < options.ops; ++done) {
-        const bool ok = options.binary
-                            ? replies.readFrameUnit(unit)
-                            : replies.readLine(unit);
-        if (!ok) {
+        if (!replies.readLine(unit)) {
             result.failed = true;
             break;
         }
@@ -893,7 +820,7 @@ runOpenLoop(const CliOptions &options, std::size_t conn,
             sentAt.pop_front();
         }
         spaceFreed.notify_one();
-        if (replyIsError(options, unit))
+        if (replyIsError(unit))
             ++result.errors;
     }
     sender.join();
@@ -979,7 +906,6 @@ main(int argc, char **argv)
         std::cerr << "bomb: " << options.connections
                   << " connections, " << iterations << " ops ("
                   << errors << " ERR replies), "
-                  << (options.binary ? "binary" : "text") << " "
                   << (options.openLoop ? "open" : "closed")
                   << "-loop";
         if (stalls > 0)

@@ -24,9 +24,8 @@
  * script and test pipeline keeps working). --listen and/or --unix
  * switch to the poll-driven socket front-end (net/socket_server.hh):
  * many concurrent clients fan into the one service, each speaking
- * the same line protocol — or, per connection, the opt-in binary
- * framing (svc/wire.hh) negotiated by a magic hello. One event loop
- * on the main thread serves every connection. The bound endpoints
+ * the same line protocol. One event loop on the main thread serves
+ * every connection. The bound endpoints
  * are announced once on stderr as a single machine-parseable line:
  *
  *   LISTENING addr=ADDR:PORT unix=PATH
@@ -65,9 +64,9 @@
  * to exercise degraded mode and crash recovery on a real process.
  *
  * Replication (DESIGN.md "Replication & failover"): a socket-mode
- * server is always a potential primary — any binary-protocol client
- * that sends SYNC becomes a warm-standby subscriber and receives the
- * WAL as it is written. --fsync-policy group:BYTES,USEC batches
+ * server is always a potential primary — any client that sends the
+ * line SYNC becomes a warm-standby subscriber and receives the WAL,
+ * as CRC32 frames, as it is written. --fsync-policy group:BYTES,USEC batches
  * journal fsyncs (group commit) while the transport's ack-after-
  * durable barrier keeps every reply and every shipped record behind
  * a completed fsync. --follow HOST:PORT starts this server as the
@@ -203,8 +202,8 @@ usage(const char *argv0, const std::string &error = "")
            "(group commit): a batch commits when it reaches BYTES\n"
            "or its oldest record ages USEC microseconds, and socket\n"
            "replies still wait for durability (ack-after-durable).\n"
-           "A socket-mode server ships its WAL to any binary client\n"
-           "that subscribes with SYNC; --follow HOST:PORT runs this\n"
+           "A socket-mode server ships its WAL to any client that\n"
+           "subscribes with a SYNC line; --follow HOST:PORT runs this\n"
            "process as that warm standby instead (read-only until\n"
            "PROMOTE, or automatically after --promote-timeout MS of\n"
            "primary silence); --heartbeat-interval MS paces primary\n"
@@ -425,8 +424,8 @@ main(int argc, char **argv)
 
         // Any socket-mode server is a potential replication
         // primary: the hub turns every journaled record into a
-        // shippable stream frame, and binary clients subscribe
-        // with SYNC. (A follower keeps a hub too — promoting it
+        // shippable stream frame, and clients subscribe with a
+        // SYNC line. (A follower keeps a hub too — promoting it
         // makes it a primary its old peers can re-follow.)
         std::unique_ptr<repl::ReplicationHub> hub;
         if (socketMode)
@@ -465,17 +464,15 @@ main(int argc, char **argv)
             result = stats.protocol;
             result.shutdown = stats.shutdown;
             std::cerr << "server: " << stats.accepted
-                      << " accepted (" << stats.binaryConnections
-                      << " binary), " << stats.dropped
+                      << " accepted, " << stats.dropped
                       << " dropped (" << stats.idleTimeouts
                       << " idle, " << stats.writeTimeouts
                       << " write-timeout, " << stats.acceptRejects
                       << " full), " << stats.bytesIn << " bytes in, "
                       << stats.bytesOut << " bytes out, "
                       << stats.overlongLines << " overlong lines, "
-                      << stats.frames << " frames ("
-                      << stats.badFrames << " bad), "
-                      << stats.replicas << " replicas\n";
+                      << stats.replicas << " replicas ("
+                      << stats.badFrames << " dropped off-protocol)\n";
             service.setReplicationSink(nullptr);
         } else if (options.sessionFile.empty()) {
             result = svc::runSession(service, std::cin, std::cout,
