@@ -43,6 +43,22 @@
  * snapshot, so the WAL holds only the second run's records. The
  * expected state_hash and QUERY reply come from recovering a copy of
  * the directory with that build.
+ *
+ * data/pooled_session.golden pins pooled mode the same way. It was
+ * recorded, with the same sed, from the stdio server of the build
+ * before the pooled epoch resolved its per-pool gauges and fairness
+ * labels once per pool instead of by name every epoch:
+ *
+ *   ref_serve --pooled --echo < tests/svc/data/pooled_session.txt \
+ *     | sed -E "<the four masks above>" \
+ *     > tests/svc/data/pooled_session.golden
+ *
+ * and data/pooled_session_prom.golden holds that build's ref_pool*
+ * lines of METRICS prom after the session:
+ *
+ *   (cat tests/svc/data/pooled_session.txt; echo 'METRICS prom') \
+ *     | ref_serve --pooled | grep '^ref_pool' \
+ *     > tests/svc/data/pooled_session_prom.golden
  */
 
 #include <filesystem>
@@ -117,6 +133,40 @@ TEST(GoldenTranscript, FlatSessionIsByteIdentical)
     const std::string golden = readFile(kData + "/flat_session.golden");
     const std::string actual = normalize(replies.str());
     EXPECT_EQ(actual, golden);
+}
+
+/** Weighted, nested and late-created pools, one pool emptied: the
+ *  transcript, with its fairness CSV and state_hash, and the
+ *  per-pool gauges are the earlier build's. */
+TEST(GoldenTranscript, PooledSessionIsByteIdentical)
+{
+    svc::ServiceConfig config;
+    config.pooled = true;
+    config.buildEnforcement = false;
+    svc::AllocationService service(config);
+
+    std::ifstream session(kData + "/pooled_session.txt");
+    ASSERT_TRUE(session);
+    std::ostringstream replies;
+    svc::SessionOptions options;
+    options.echo = true;
+    const svc::SessionResult result =
+        svc::runSession(service, session, replies, options);
+    EXPECT_EQ(result.epochFailures, 0u);
+    EXPECT_EQ(normalize(replies.str()),
+              readFile(kData + "/pooled_session.golden"));
+
+    std::istringstream scrape("METRICS prom\n");
+    std::ostringstream exposition;
+    svc::runSession(service, scrape, exposition);
+    std::istringstream lines(exposition.str());
+    std::string line;
+    std::string poolLines;
+    while (std::getline(lines, line))
+        if (line.rfind("ref_pool", 0) == 0)
+            poolLines += line + "\n";
+    EXPECT_EQ(poolLines,
+              readFile(kData + "/pooled_session_prom.golden"));
 }
 
 /** The torn fourth TICK of the second run is dropped: epoch 5. */
