@@ -23,15 +23,23 @@ one record or a JSON array of them. Strategy-proofness records
 be negative: lying can *raise* reported welfare), and the cohort
 margins.
 
+``--median OUT`` folds several runs of one BENCH file (say, three
+runs of bench_socket.sh) into OUT: per record name, every numeric
+field becomes the median over the runs. With an even run count it is
+the lower middle value, so each field is one a run measured and
+integer fields stay integers.
+
 Usage:
   export_bench_timings.py <benchmark_out.json>... [--out-dir DIR]
   export_bench_timings.py --check <BENCH_*.json>...
+  export_bench_timings.py --median OUT <BENCH_*.json>...
 """
 
 import argparse
 import json
 import pathlib
 import re
+import statistics
 import sys
 
 _TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -142,6 +150,29 @@ def check(paths):
     return errors
 
 
+def median(paths):
+    """Per-name, per-field median records over the runs in paths."""
+    runs = []
+    for path in paths:
+        doc = json.loads(pathlib.Path(path).read_text())
+        runs.append(doc if isinstance(doc, list) else [doc])
+    names = [[record["name"] for record in run] for run in runs]
+    if any(run_names != names[0] for run_names in names):
+        raise ValueError("runs disagree on their record names: "
+                         f"{names}")
+    merged = []
+    for index, first in enumerate(runs[0]):
+        record = {}
+        for key, value in first.items():
+            values = [run[index][key] for run in runs]
+            numeric = all(isinstance(v, (int, float))
+                          and not isinstance(v, bool) for v in values)
+            record[key] = (statistics.median_low(values) if numeric
+                           else value)
+        merged.append(record)
+    return merged
+
+
 def export(path, out_dir):
     doc = json.loads(pathlib.Path(path).read_text())
     written = []
@@ -170,7 +201,22 @@ def main(argv):
     parser.add_argument("--check", action="store_true",
                         help="validate BENCH_*.json files against the "
                              "schema instead of exporting")
+    parser.add_argument("--median", metavar="OUT",
+                        help="write the per-field median of the input "
+                             "BENCH runs to OUT instead of exporting")
     args = parser.parse_args(argv)
+
+    if args.median:
+        try:
+            records = median(args.inputs)
+        except (OSError, ValueError, KeyError, IndexError) as exc:
+            print(f"error: cannot take the median: {exc}",
+                  file=sys.stderr)
+            return 1
+        pathlib.Path(args.median).write_text(
+            json.dumps(records, indent=2) + "\n")
+        print(f"{args.median}: median of {len(args.inputs)} run(s)")
+        return 0
 
     if args.check:
         errors = check(args.inputs)

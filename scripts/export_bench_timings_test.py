@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for export_bench_timings.py: the google-benchmark export
-path and the BENCH schema validator (--check)."""
+path, the BENCH schema validator (--check) and the run median
+(--median)."""
 
 import json
 import pathlib
@@ -133,6 +134,42 @@ class CheckTest(unittest.TestCase):
         bad = write(self.dir.name, "BENCH_bad.json", {"name": "x"})
         self.assertEqual(ebt.main(["--check", str(good)]), 0)
         self.assertEqual(ebt.main(["--check", str(good), str(bad)]), 1)
+
+
+class MedianTest(unittest.TestCase):
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.addCleanup(self.dir.cleanup)
+
+    def runs(self, *throughputs):
+        return [write(self.dir.name, f"run{k}.json",
+                      [{**GOOD_FULL, "ops_per_sec": tput,
+                        "iterations": 64000 + k}, GOOD])
+                for k, tput in enumerate(throughputs)]
+
+    def test_takes_each_fields_median_by_name(self):
+        merged = ebt.median(self.runs(45600.0, 66500.0, 57900.0))
+        self.assertEqual([r["name"] for r in merged],
+                         ["socket_binary", "socket_text"])
+        self.assertEqual(merged[0]["ops_per_sec"], 57900.0)
+        self.assertEqual(merged[0]["iterations"], 64001)
+        self.assertEqual(merged[1], GOOD)
+
+    def test_even_count_keeps_a_measured_integer(self):
+        merged = ebt.median(self.runs(1.0, 4.0))
+        self.assertEqual(merged[0]["ops_per_sec"], 1.0)
+        self.assertIsInstance(merged[0]["iterations"], int)
+
+    def test_main_writes_a_valid_file_and_rejects_mismatches(self):
+        out = pathlib.Path(self.dir.name) / "BENCH_median.json"
+        paths = [str(path) for path in self.runs(3.0, 1.0, 2.0)]
+        self.assertEqual(ebt.main(["--median", str(out)] + paths), 0)
+        self.assertEqual(ebt.check([out]), [])
+        self.assertEqual(json.loads(out.read_text())[0]["ops_per_sec"],
+                         2.0)
+        other = write(self.dir.name, "other.json", [GOOD])
+        self.assertEqual(
+            ebt.main(["--median", str(out), paths[0], str(other)]), 1)
 
 
 class ExportTest(unittest.TestCase):

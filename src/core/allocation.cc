@@ -23,18 +23,6 @@ Allocation::equalSplit(std::size_t agents, const SystemCapacity &capacity)
     return allocation;
 }
 
-double &
-Allocation::at(std::size_t agent, std::size_t resource)
-{
-    return amounts_(agent, resource);
-}
-
-double
-Allocation::at(std::size_t agent, std::size_t resource) const
-{
-    return amounts_(agent, resource);
-}
-
 Vector
 Allocation::agentShare(std::size_t agent) const
 {

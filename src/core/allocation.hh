@@ -34,10 +34,16 @@ class Allocation
     std::size_t resources() const { return amounts_.cols(); }
 
     /** Mutable amount of resource r held by agent i. */
-    double &at(std::size_t agent, std::size_t resource);
+    double &at(std::size_t agent, std::size_t resource)
+    {
+        return amounts_(agent, resource);
+    }
 
     /** Amount of resource r held by agent i. */
-    double at(std::size_t agent, std::size_t resource) const;
+    double at(std::size_t agent, std::size_t resource) const
+    {
+        return amounts_(agent, resource);
+    }
 
     /** Agent i's bundle x_i. */
     Vector agentShare(std::size_t agent) const;

@@ -38,19 +38,18 @@ SystemCapacity::cacheAndBandwidthExample()
     });
 }
 
-double
-SystemCapacity::capacity(std::size_t r) const
+void
+SystemCapacity::outOfRange(std::size_t r) const
 {
-    REF_REQUIRE(r < resources_.size(),
-                "resource index " << r << " outside " << resources_.size());
-    return resources_[r].capacity;
+    REF_FATAL("requirement 'r < resources_.size()' failed: resource "
+              "index " << r << " outside " << resources_.size());
 }
 
 const Resource &
 SystemCapacity::resource(std::size_t r) const
 {
-    REF_REQUIRE(r < resources_.size(),
-                "resource index " << r << " outside " << resources_.size());
+    if (r >= resources_.size())
+        outOfRange(r);
     return resources_[r];
 }
 

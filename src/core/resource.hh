@@ -43,8 +43,13 @@ class SystemCapacity
     /** Number of resource types R. */
     std::size_t count() const { return resources_.size(); }
 
-    /** Capacity C_r. */
-    double capacity(std::size_t r) const;
+    /** Capacity C_r. Throws FatalError when r >= count(). */
+    double capacity(std::size_t r) const
+    {
+        if (r >= resources_.size()) [[unlikely]]
+            outOfRange(r);
+        return resources_[r].capacity;
+    }
 
     /** Resource metadata. */
     const Resource &resource(std::size_t r) const;
@@ -56,6 +61,9 @@ class SystemCapacity
     Vector equalShare(std::size_t n) const;
 
   private:
+    /** The failed index check, kept out of the inlined capacity(). */
+    [[noreturn, gnu::cold]] void outOfRange(std::size_t r) const;
+
     std::vector<Resource> resources_;
 };
 

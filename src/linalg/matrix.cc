@@ -41,22 +41,12 @@ Matrix::identity(std::size_t n)
     return m;
 }
 
-double &
-Matrix::operator()(std::size_t r, std::size_t c)
+void
+Matrix::outOfRange(std::size_t r, std::size_t c) const
 {
-    REF_ASSERT(r < rows_ && c < cols_,
-               "index (" << r << "," << c << ") outside " << rows_ << "x"
-                         << cols_);
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    REF_ASSERT(r < rows_ && c < cols_,
-               "index (" << r << "," << c << ") outside " << rows_ << "x"
-                         << cols_);
-    return data_[r * cols_ + c];
+    REF_PANIC("assertion 'r < rows_ && c < cols_' failed: index ("
+              << r << "," << c << ") outside " << rows_ << "x"
+              << cols_);
 }
 
 Matrix

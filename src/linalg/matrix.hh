@@ -65,8 +65,20 @@ class Matrix
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    double &operator()(std::size_t r, std::size_t c);
-    double operator()(std::size_t r, std::size_t c) const;
+    /** Element (r, c); bounds-checked (PanicError when outside). */
+    double &operator()(std::size_t r, std::size_t c)
+    {
+        if (r >= rows_ || c >= cols_) [[unlikely]]
+            outOfRange(r, c);
+        return data_[r * cols_ + c];
+    }
+
+    double operator()(std::size_t r, std::size_t c) const
+    {
+        if (r >= rows_ || c >= cols_) [[unlikely]]
+            outOfRange(r, c);
+        return data_[r * cols_ + c];
+    }
 
     /** Matrix transpose. */
     Matrix transposed() const;
@@ -96,6 +108,10 @@ class Matrix
     double maxAbs() const;
 
   private:
+    /** The failed bounds check, kept out of the inlined accessors. */
+    [[noreturn, gnu::cold]] void outOfRange(std::size_t r,
+                                            std::size_t c) const;
+
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::vector<double> data_;

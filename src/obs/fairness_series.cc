@@ -76,21 +76,51 @@ FairnessSeries::append(const FairnessSample &sample)
     main_.push(sample, capacity_);
 }
 
+FairnessSeries::Ring *
+FairnessSeries::ringLocked(const std::string &label)
+{
+    auto found = labelled_.find(label);
+    if (found == labelled_.end()) {
+        if (labelled_.size() >= kMaxLabels)
+            return nullptr;
+        found = labelled_.emplace(label, Ring{}).first;
+    }
+    return &found->second;
+}
+
+FairnessSeries::Label
+FairnessSeries::label(const std::string &label)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return Label(ringLocked(label));
+}
+
+void
+FairnessSeries::pushLabelledLocked(Ring *ring,
+                                   const FairnessSample &sample)
+{
+    if (ring == nullptr) {
+        ++droppedLabelled_;
+        return;
+    }
+    ring->push(sample, std::min(capacity_, kLabelledCapacity));
+    ++labelledAppended_;
+}
+
 void
 FairnessSeries::appendLabelled(const std::string &label,
                                const FairnessSample &sample)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto found = labelled_.find(label);
-    if (found == labelled_.end()) {
-        if (labelled_.size() >= kMaxLabels) {
-            ++droppedLabelled_;
-            return;
-        }
-        found = labelled_.emplace(label, Ring{}).first;
-    }
-    found->second.push(sample, std::min(capacity_, kLabelledCapacity));
-    ++labelledAppended_;
+    pushLabelledLocked(ringLocked(label), sample);
+}
+
+void
+FairnessSeries::appendLabelled(std::span<const LabelledSample> batch)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const LabelledSample &entry : batch)
+        pushLabelledLocked(entry.label.ring_, entry.sample);
 }
 
 std::vector<FairnessSample>
@@ -107,7 +137,8 @@ FairnessSeries::labels() const
     std::vector<std::string> out;
     out.reserve(labelled_.size());
     for (const auto &entry : labelled_)
-        out.push_back(entry.first);
+        if (entry.second.appended > 0)  // label() made, never fed
+            out.push_back(entry.first);
     return out;
 }
 

@@ -341,13 +341,24 @@ PoolTree::poolShareFractions(const std::string &path) const
     linalg::Vector fractions(capacity_.count(), 0.0);
     if (empty())
         return fractions;
-    for (std::size_t r = 0; r < capacity_.count(); ++r) {
-        const double d = denominator(r);
-        REF_ASSERT(d > 0,
-                   "effective claims sum to zero for resource " << r);
-        fractions[r] = node.subtree[r].round() / d;
-    }
+    const std::vector<double> sums = denominators();
+    for (std::size_t r = 0; r < capacity_.count(); ++r)
+        fractions[r] = node.subtree[r].round() / sums[r];
     return fractions;
+}
+
+void
+PoolTree::poolShareFractions(std::vector<double> &out) const
+{
+    const std::size_t resources = capacity_.count();
+    out.assign(nodes_.size() * resources, 0.0);
+    if (empty())
+        return;
+    const std::vector<double> sums = denominators();
+    double *fraction = out.data();
+    for (const Node &node : nodes_)
+        for (std::size_t r = 0; r < resources; ++r)
+            *fraction++ = node.subtree[r].round() / sums[r];
 }
 
 std::vector<PoolView>
@@ -397,9 +408,13 @@ DenseRows::agentList() const
 std::vector<double>
 PoolTree::denominators() const
 {
+    REF_REQUIRE(!empty(), "no agents to allocate to");
     std::vector<double> sums(capacity_.count());
-    for (std::size_t r = 0; r < capacity_.count(); ++r)
+    for (std::size_t r = 0; r < capacity_.count(); ++r) {
         sums[r] = denominator(r);
+        REF_ASSERT(sums[r] > 0,
+                   "effective claims sum to zero for resource " << r);
+    }
     return sums;
 }
 
@@ -427,9 +442,6 @@ PoolTree::allocateWith(const std::vector<double> &denominators,
 {
     REF_REQUIRE(!empty(), "no agents to allocate to");
     const std::size_t resources = capacity_.count();
-    for (std::size_t r = 0; r < resources; ++r)
-        REF_ASSERT(denominators[r] > 0,
-                   "effective claims sum to zero for resource " << r);
     const std::size_t count = agents_.size();
     core::Allocation allocation(count, resources);
     const bool labelled = rows != nullptr && !cohorts_.empty();

@@ -248,6 +248,27 @@ class PoolTree
      */
     linalg::Vector poolShareFractions(const std::string &path) const;
 
+    /**
+     * Every pool's share fractions at once, pool-major in creation
+     * order: @p out gets poolCount() x R values, pool p's at
+     * [p * R, (p + 1) * R), each bit-equal to poolShareFractions of
+     * its path. The root denominators are rounded once for all
+     * pools. All zero while the tree is empty.
+     */
+    void poolShareFractions(std::vector<double> &out) const;
+
+    /** Live agents in the subtree of pool @p node. */
+    std::uint64_t poolAgents(std::uint32_t node) const
+    {
+        return nodes_[node].agentsInSubtree;
+    }
+
+    /** Configured weight of pool @p node. */
+    double poolWeight(std::uint32_t node) const
+    {
+        return nodes_[node].weight;
+    }
+
     /** All pools in creation order (root first). */
     std::vector<PoolView> pools() const;
 
@@ -320,7 +341,8 @@ class PoolTree
                         const linalg::Vector &effective, int direction);
     linalg::Vector effectiveFor(const linalg::Vector &rescaled,
                                 std::uint32_t pool) const;
-    /** The root denominators D[r]. */
+    /** The root denominators D[r], each checked positive; throws
+     *  FatalError while the tree is empty. */
     std::vector<double> denominators() const;
     /**
      * allocateDense() over the given per-resource denominators; a

@@ -352,43 +352,51 @@ void
 AllocationService::recordPooledFairnessLocked(
     const EpochResult &result)
 {
-    const std::vector<pool::PoolView> views = tree_.pools();
+    const std::size_t pools = tree_.poolCount();
+    const std::size_t resources = config_.capacity.count();
     const std::uint64_t population = result.liveAgents;
     obs::FairnessSample global = epochSample(result);
 
-    // Pools are append-only, so creation order indexes both the last
-    // epoch's fractions and this epoch's views stably.
-    lastPoolShares_.resize(views.size());
+    // Pools are append-only and never change path, so creation order
+    // indexes the last epoch's fractions and the label handles
+    // stably, and a pool's label is looked up once, here, at the
+    // first epoch that sees it.
+    for (std::size_t p = poolLabels_.size(); p < pools; ++p)
+        poolLabels_.push_back(series_.label(
+            tree_.poolPath(static_cast<std::uint32_t>(p))));
+    std::vector<double> shares;
+    tree_.poolShareFractions(shares);
+    lastPoolShares_.resize(pools * resources, 0.0);
+    std::vector<obs::FairnessSeries::LabelledSample> samples;
+    samples.reserve(pools);
     double totalDrift = 0;
-    for (std::size_t p = 0; p < views.size(); ++p) {
-        const linalg::Vector fractions =
-            tree_.poolShareFractions(views[p].path);
-        const linalg::Vector &last = lastPoolShares_[p];
+    for (std::size_t p = 0; p < pools; ++p) {
+        const double *fractions = &shares[p * resources];
+        const double *last = &lastPoolShares_[p * resources];
         double drift = 0;
-        for (std::size_t r = 0; r < fractions.size(); ++r) {
-            const double before = r < last.size() ? last[r] : 0.0;
-            drift += std::abs(fractions[r] - before);
-        }
+        for (std::size_t r = 0; r < resources; ++r)
+            drift += std::abs(fractions[r] - last[r]);
         // Every tree level contributes, so one agent moving between
         // sibling subtrees counts once per ancestor it crossed —
         // deeper reshuffles read as larger drift by design.
         totalDrift += drift;
 
+        const std::uint64_t agents =
+            tree_.poolAgents(static_cast<std::uint32_t>(p));
         obs::FairnessSample sample;
         sample.epoch = result.epoch;
-        sample.agents = views[p].agents;
-        sample.checked = population > 0 && views[p].agents > 0;
+        sample.agents = agents;
+        sample.checked = population > 0 && agents > 0;
         if (sample.checked) {
             // Population-proportional isolation margin: the pool's
             // worst resource fraction over its head-count share;
             // >= 1 means the subtree collectively holds at least
             // its proportional slice of every resource.
-            const double fairShare =
-                static_cast<double>(views[p].agents) /
-                static_cast<double>(population);
+            const double fairShare = static_cast<double>(agents) /
+                                     static_cast<double>(population);
             double margin =
                 std::numeric_limits<double>::infinity();
-            for (std::size_t r = 0; r < fractions.size(); ++r)
+            for (std::size_t r = 0; r < resources; ++r)
                 margin = std::min(margin, fractions[r] / fairShare);
             sample.siMargin = margin;
         }
@@ -396,14 +404,15 @@ AllocationService::recordPooledFairnessLocked(
         // reserved (identically 1).
         sample.l1Drift = drift;
         sample.latencyNs = global.latencyNs;
-        series_.appendLabelled(views[p].path, sample);
-        lastPoolShares_[p] = fractions;
+        samples.push_back({poolLabels_[p], sample});
     }
+    lastPoolShares_ = std::move(shares);
+    series_.appendLabelled(samples);
     global.l1Drift = totalDrift;
     series_.append(global);
     metrics_.setFairnessGauges(global.siMargin, global.efMargin,
                                global.l1Drift);
-    metrics_.setPoolGauges(views, lastPoolShares_);
+    metrics_.setPoolGauges(tree_, lastPoolShares_);
 }
 
 void
@@ -592,7 +601,10 @@ AllocationService::resetRuntimeLocked()
 {
     tree_ = pool::PoolTree(config_.capacity);
     driver_ = EpochDriver(tree_, config_.epoch, config_.pooled);
+    // The next tree's pools may sit at other creation indices.
     lastPoolShares_.clear();
+    poolLabels_.clear();
+    metrics_.resetPoolGauges();
     publish(std::make_shared<const ServiceSnapshot>());
 }
 

@@ -301,7 +301,8 @@ class AllocationService
                               const EpochResult &result);
     /** Pooled variant: global + per-pool labelled samples, with
      *  drift computed over pool share fractions (O(pools), never
-     *  O(agents)). */
+     *  O(agents), and no string built or looked up once a pool has
+     *  been seen). */
     void recordPooledFairnessLocked(const EpochResult &result);
 
     ServiceConfig config_;
@@ -311,9 +312,11 @@ class AllocationService
     EpochDriver driver_;  //!< Points at tree_.
     mutable ServiceMetrics metrics_;
     obs::FairnessSeries series_;
-    /** Last epoch's per-pool share fractions, indexed by pool
+    /** Last epoch's per-pool share fractions, pool-major in
      *  creation order (pools are append-only), for pooled drift. */
-    std::vector<linalg::Vector> lastPoolShares_;
+    std::vector<double> lastPoolShares_;
+    /** Each pool's fairness sub-series, in creation order. */
+    std::vector<obs::FairnessSeries::Label> poolLabels_;
 
     std::unique_ptr<Journal> journal_;  //!< Null when disabled.
     RecoveryInfo recovery_;

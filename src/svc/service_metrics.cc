@@ -149,36 +149,42 @@ ServiceMetrics::recordEpoch(const EpochResult &result)
 }
 
 void
-ServiceMetrics::setPoolGauges(
-    const std::vector<pool::PoolView> &views,
-    const std::vector<linalg::Vector> &fractions)
+ServiceMetrics::setPoolGauges(const pool::PoolTree &tree,
+                              std::span<const double> fractions)
 {
-    pools_.set(static_cast<double>(views.size()));
-    const std::size_t limit =
-        std::min(views.size(), kMaxPoolGauges);
-    for (std::size_t i = 0; i < limit; ++i) {
-        const pool::PoolView &view = views[i];
-        const std::string label = "{pool=\"" + view.path + "\"}";
-        registry_
-            .gauge("ref_pool_agents" + label,
-                   "Live agents in the pool's subtree")
-            .set(static_cast<double>(view.agents));
+    const std::size_t pools = tree.poolCount();
+    const std::size_t resources = tree.capacity().count();
+    pools_.set(static_cast<double>(pools));
+    const std::size_t limit = std::min(pools, kMaxPoolGauges);
+    for (std::size_t p = poolAgentGauges_.size(); p < limit; ++p) {
+        const std::string &path =
+            tree.poolPath(static_cast<std::uint32_t>(p));
+        const std::string label = "{pool=\"" + path + "\"}";
+        poolAgentGauges_.push_back(
+            &registry_.gauge("ref_pool_agents" + label,
+                             "Live agents in the pool's subtree"));
         registry_
             .gauge("ref_pool_weight" + label,
                    "The pool's configured weight")
-            .set(view.weight);
-        if (i >= fractions.size())
-            continue;
-        for (std::size_t r = 0; r < fractions[i].size(); ++r) {
-            registry_
-                .gauge("ref_pool_share{pool=\"" + view.path +
-                           "\",resource=\"r" + std::to_string(r) +
-                           "\"}",
-                       "Capacity fraction held by the pool's "
-                       "subtree")
-                .set(fractions[i][r]);
-        }
+            .set(tree.poolWeight(static_cast<std::uint32_t>(p)));
+        for (std::size_t r = 0; r < resources; ++r)
+            poolShareGauges_.push_back(&registry_.gauge(
+                "ref_pool_share{pool=\"" + path + "\",resource=\"r" +
+                    std::to_string(r) + "\"}",
+                "Capacity fraction held by the pool's subtree"));
     }
+    for (std::size_t p = 0; p < limit; ++p)
+        poolAgentGauges_[p]->set(static_cast<double>(
+            tree.poolAgents(static_cast<std::uint32_t>(p))));
+    for (std::size_t k = 0; k < limit * resources; ++k)
+        poolShareGauges_[k]->set(fractions[k]);
+}
+
+void
+ServiceMetrics::resetPoolGauges()
+{
+    poolAgentGauges_.clear();
+    poolShareGauges_.clear();
 }
 
 void

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -105,14 +106,26 @@ class ServiceMetrics
     static constexpr std::size_t kMaxPoolGauges = 256;
 
     /**
-     * Publish per-pool gauges: ref_pool_agents/ref_pool_weight
-     * labelled {pool="<path>"} and ref_pool_share additionally
-     * labelled by resource. @p fractions parallels @p views (pool
-     * creation order). Pool paths need no label-escaping: the tree
-     * rejects '"', '\', '{', '}' and '=' at validation.
+     * Publish per-pool gauges for the first kMaxPoolGauges pools of
+     * @p tree: ref_pool_agents/ref_pool_weight labelled
+     * {pool="<path>"} and ref_pool_share additionally labelled by
+     * resource. @p fractions holds every pool's share fractions as
+     * PoolTree::poolShareFractions(std::vector<double> &) lays them
+     * out. Pools are append-only and never change path or weight, so
+     * a pool's gauges are registered, and its weight set, the first
+     * time it is published; later calls store numbers only. Pool
+     * paths need no label-escaping: the tree rejects '"', '\', '{',
+     * '}' and '=' at validation.
      */
-    void setPoolGauges(const std::vector<pool::PoolView> &views,
-                       const std::vector<linalg::Vector> &fractions);
+    void setPoolGauges(const pool::PoolTree &tree,
+                       std::span<const double> fractions);
+
+    /**
+     * Forget the per-pool gauge handles, for a tree that replaced
+     * the published one: its pools may sit at other creation
+     * indices. Their series stay in the registry.
+     */
+    void resetPoolGauges();
 
     /** Mirror the journal's counters into the registry (gauges,
      *  absolute values) so expositions include durability state. */
@@ -173,6 +186,11 @@ class ServiceMetrics
     obs::Gauge &fairnessEfMargin_;
     obs::Gauge &fairnessL1Drift_;
     obs::Gauge &efRowsScanned_;
+
+    /** ref_pool_agents per published pool, in creation order. */
+    std::vector<obs::Gauge *> poolAgentGauges_;
+    /** ref_pool_share per published pool and resource, pool-major. */
+    std::vector<obs::Gauge *> poolShareGauges_;
 };
 
 } // namespace ref::svc

@@ -3,6 +3,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,48 @@ TEST(FairnessSeries, LabelCapDropsNewLabelsButNotOldOnes)
     series.appendLabelled(over, sampleAt(2));
     EXPECT_TRUE(series.labelledSamples(over).empty());
     EXPECT_EQ(series.droppedLabelled(), 7u);
+}
+
+TEST(FairnessSeries, LabelHandlesKeepTheCapDropAccounting)
+{
+    FairnessSeries series(2);
+    std::vector<FairnessSeries::LabelledSample> batch;
+    for (std::size_t i = 0; i < FairnessSeries::kMaxLabels + 6; ++i)
+        batch.push_back({series.label("p" + std::to_string(i)),
+                         sampleAt(1)});
+    series.appendLabelled(batch);
+
+    // The same counts as one string append per label.
+    EXPECT_EQ(series.labels().size(), FairnessSeries::kMaxLabels);
+    EXPECT_EQ(series.droppedLabelled(), 6u);
+    EXPECT_EQ(series.totalLabelledAppended(),
+              FairnessSeries::kMaxLabels);
+
+    // Every later batch drops the refused handles again, one count
+    // per append, and a handle and its label's string name one ring.
+    series.appendLabelled(batch);
+    EXPECT_EQ(series.droppedLabelled(), 12u);
+    series.appendLabelled("p0", sampleAt(3));
+    const std::vector<FairnessSample> p0 = series.labelledSamples("p0");
+    ASSERT_EQ(p0.size(), 2u);
+    EXPECT_EQ(p0.back().epoch, 3u);
+    const std::string over =
+        "p" + std::to_string(FairnessSeries::kMaxLabels);
+    EXPECT_TRUE(series.labelledSamples(over).empty());
+    series.appendLabelled(over, sampleAt(3));
+    EXPECT_EQ(series.droppedLabelled(), 13u);
+}
+
+TEST(FairnessSeries, AnUnfedLabelHandleExportsNothing)
+{
+    FairnessSeries series(2);
+    const FairnessSeries::Label idle = series.label("idle");
+    series.appendLabelled("fed", sampleAt(1));
+    EXPECT_EQ(series.labels(), std::vector<std::string>{"fed"});
+    const FairnessSeries::LabelledSample one[] = {{idle, sampleAt(2)}};
+    series.appendLabelled(one);
+    EXPECT_EQ(series.labels(),
+              (std::vector<std::string>{"fed", "idle"}));
 }
 
 TEST(FairnessSeries, LabelledCsvPutsTotalFirstThenSortedLabels)

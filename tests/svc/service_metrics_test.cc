@@ -1,11 +1,15 @@
 #include "svc/service_metrics.hh"
 
+#include <map>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "svc/allocation_service.hh"
 #include "svc/epoch_driver.hh"
+#include "svc/snapshot.hh"
 
 namespace {
 
@@ -182,6 +186,154 @@ TEST(ServiceMetrics, ConcurrentRecordingDoesNotDropCounts)
               static_cast<std::uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(snapshot.epochs,
               static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+svc::ServiceConfig
+pooledConfig()
+{
+    svc::ServiceConfig config;
+    config.pooled = true;
+    config.buildEnforcement = false;
+    return config;
+}
+
+/** Every ref_pool* series of the Prometheus exposition, by name. */
+std::map<std::string, double>
+poolSeries(const svc::AllocationService &service)
+{
+    std::ostringstream text;
+    service.writeMetrics(text, svc::MetricsFormat::Prometheus);
+    std::istringstream lines(text.str());
+    std::map<std::string, double> series;
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.rfind("ref_pool", 0) != 0)
+            continue;
+        const std::size_t space = line.rfind(' ');
+        series[line.substr(0, space)] = std::stod(line.substr(space));
+    }
+    return series;
+}
+
+std::string
+shareSeries(const std::string &path, std::size_t r)
+{
+    return "ref_pool_share{pool=\"" + path + "\",resource=\"r" +
+           std::to_string(r) + "\"}";
+}
+
+/** Each pool's agents, weight and share gauges match the tree. */
+void
+expectGaugesMatchTree(const svc::AllocationService &service)
+{
+    const std::map<std::string, double> series = poolSeries(service);
+    for (const pool::PoolView &view : service.pools()) {
+        const std::string label = "{pool=\"" + view.path + "\"}";
+        EXPECT_EQ(series.at("ref_pool_agents" + label),
+                  static_cast<double>(view.agents))
+            << view.path;
+        EXPECT_EQ(series.at("ref_pool_weight" + label), view.weight)
+            << view.path;
+        const linalg::Vector fractions =
+            service.poolShareFractions(view.path);
+        for (std::size_t r = 0; r < fractions.size(); ++r)
+            EXPECT_EQ(series.at(shareSeries(view.path, r)),
+                      fractions[r])
+                << view.path << " r" << r;
+    }
+}
+
+TEST(PoolGauges, AppearForAPoolCreatedMidRun)
+{
+    svc::AllocationService service(pooledConfig());
+    service.createPool("a", 2.0);
+    service.admit("x", {0.6, 0.4});
+    service.assignPool("x", "a");
+    service.tick();
+    EXPECT_EQ(poolSeries(service).count(
+                  "ref_pool_agents{pool=\"late\"}"),
+              0u);
+
+    service.createPool("late", 0.5);
+    service.admit("y", {0.2, 0.8});
+    service.assignPool("y", "late");
+    service.tick();
+    const std::map<std::string, double> series = poolSeries(service);
+    EXPECT_EQ(series.at("ref_pool_agents{pool=\"late\"}"), 1.0);
+    EXPECT_EQ(series.at("ref_pool_weight{pool=\"late\"}"), 0.5);
+    EXPECT_EQ(series.at("ref_pools"), 3.0);
+    expectGaugesMatchTree(service);
+    EXPECT_EQ(service.fairnessSeries().labelledSamples("late").size(),
+              1u);
+}
+
+TEST(PoolGauges, OnlyTheFirstCappedPoolsAreExported)
+{
+    svc::AllocationService service(pooledConfig());
+    const std::size_t pools = svc::ServiceMetrics::kMaxPoolGauges + 20;
+    for (std::size_t p = 1; p < pools; ++p)
+        service.createPool("p" + std::to_string(p), 1.0);
+    service.admit("x", {0.6, 0.4});
+    service.assignPool("x", "p1");
+    service.tick();
+    service.createPool("p" + std::to_string(pools), 1.0);
+    service.tick();
+
+    std::size_t agentSeries = 0;
+    for (const auto &[name, value] : poolSeries(service))
+        agentSeries += name.rfind("ref_pool_agents{", 0) == 0;
+    EXPECT_EQ(agentSeries, svc::ServiceMetrics::kMaxPoolGauges);
+    const std::map<std::string, double> series = poolSeries(service);
+    EXPECT_EQ(series.at("ref_pools"), static_cast<double>(pools + 1));
+    // Creation order: the root, then p1 .. p255.
+    const std::string last =
+        "p" + std::to_string(svc::ServiceMetrics::kMaxPoolGauges - 1);
+    const std::string first =
+        "p" + std::to_string(svc::ServiceMetrics::kMaxPoolGauges);
+    EXPECT_EQ(series.count("ref_pool_agents{pool=\"" + last + "\"}"),
+              1u);
+    EXPECT_EQ(series.count("ref_pool_agents{pool=\"" + first + "\"}"),
+              0u);
+    EXPECT_EQ(series.count(shareSeries(first, 0)), 0u);
+    EXPECT_EQ(series.at("ref_pool_agents{pool=\"p1\"}"), 1.0);
+}
+
+TEST(PoolGauges, FollowAnAdoptedTreeByPathNotCreationIndex)
+{
+    svc::AllocationService follower(pooledConfig());
+    follower.createPool("a", 1.0);
+    follower.createPool("b", 1.0);
+    follower.admit("x", {0.6, 0.4});
+    follower.assignPool("x", "a");
+    follower.tick();
+
+    // The primary's tree puts other pools, with other weights and
+    // agents, at the same creation indices.
+    svc::AllocationService primary(pooledConfig());
+    primary.createPool("b", 3.0);
+    primary.createPool("c", 0.5);
+    primary.createPool("a", 2.0);
+    primary.createPool("c/d", 4.0);
+    const char *homes[] = {"b", "c", "a", "c/d", "b"};
+    for (int k = 0; k < 5; ++k) {
+        const std::string name = "g" + std::to_string(k);
+        primary.admit(name, {0.1 + 0.15 * k, 0.9 - 0.15 * k});
+        primary.assignPool(name, homes[k]);
+    }
+    primary.tick();
+    std::uint64_t seq = 0;
+    follower.adoptState(svc::decodeServiceState(
+        primary.captureReplicationSnapshot(seq)));
+    follower.tick();
+
+    expectGaugesMatchTree(follower);
+    for (const pool::PoolView &view : follower.pools()) {
+        const std::vector<obs::FairnessSample> samples =
+            follower.fairnessSeries().labelledSamples(view.path);
+        ASSERT_FALSE(samples.empty()) << view.path;
+        EXPECT_EQ(samples.back().agents, view.agents) << view.path;
+        EXPECT_EQ(samples.back().epoch, 2u) << view.path;
+    }
 }
 
 } // namespace

@@ -24,8 +24,11 @@
  * prologue per connection first issues idempotent POOL CREATE p0..p<N-1>
  * (racing connections converge by design) and --preload K pipelined
  * ADMIT+ASSIGN pairs, so the measured window starts on a populated
- * tree. In the measured mix every ADMIT is followed by a POOL ASSIGN
- * into a pool drawn uniformly or Zipf(1)-skewed (seeded, per
+ * tree. Every connection finishes its prologue before any starts
+ * timing, and the wall clock behind ops_per_sec starts then too: a
+ * measured op never queues behind another connection's preload.
+ * In the measured mix every ADMIT is followed by a POOL ASSIGN into
+ * a pool drawn uniformly or Zipf(1)-skewed (seeded, per
  * connection). TICK replies are additionally timed on their own:
  * the BENCH record carries tick_p50_ns/tick_p99_ns plus the final
  * live-agent count and the pool count, which is what the pool-scale
@@ -69,6 +72,7 @@
 #include <cstring>
 #include <deque>
 #include <iostream>
+#include <latch>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -613,6 +617,8 @@ struct ConnResult
     std::size_t liveAtEnd = 0;  //!< Stream's live agents after run.
     std::uint64_t failovers = 0;     //!< Server losses survived.
     std::uint64_t failoverGapNs = 0; //!< Loss to first accepted write.
+    bool setUp = false;         //!< Prologue done, at the start gate.
+    std::uint64_t timedStartNs = 0;  //!< Gate opened; 0 before.
     bool failed = false;        //!< Connect/IO failure.
 };
 
@@ -624,11 +630,13 @@ replyIsError(const std::string &unit)
 }
 
 /** Untimed prologue: pool creates plus preload admits, pipelined
- *  with a fixed window and fully drained before timing starts. Any
- *  ERR here is a configuration mistake (e.g. --pools against a flat
- *  server), not load noise — fail loudly. */
+ *  with a fixed window and fully drained, then a wait at @p allSetUp
+ *  until every connection's prologue is done, so timing starts on an
+ *  idle server. Any ERR here is a configuration mistake (e.g.
+ *  --pools against a flat server), not load noise — fail loudly. */
 void
-runSetup(int fd, ReplyStream &replies, CommandStream &stream)
+runSetup(int fd, ReplyStream &replies, CommandStream &stream,
+         std::latch &allSetUp, ConnResult &result)
 {
     std::vector<svc::Command> setup = stream.setupCommands();
     {
@@ -652,11 +660,14 @@ runSetup(int fd, ReplyStream &replies, CommandStream &stream)
             REF_FATAL("setup command rejected: " << unit);
         ++done;
     }
+    result.setUp = true;
+    allSetUp.arrive_and_wait();
+    result.timedStartNs = nowNs();
 }
 
 void
 runClosedLoop(const CliOptions &options, std::size_t conn,
-              ConnResult &result)
+              std::latch &allSetUp, ConnResult &result)
 {
     CommandStream stream(options, conn);
     std::string target = options.connect;
@@ -669,7 +680,7 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
         replies = ReplyStream{fd, {}, 0};
     };
     openSession();
-    runSetup(fd, replies, stream);
+    runSetup(fd, replies, stream, allSetUp, result);
 
     result.latenciesNs.reserve(options.ops);
     std::deque<std::pair<std::uint64_t, bool>> sentAt;
@@ -758,13 +769,13 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
 
 void
 runOpenLoop(const CliOptions &options, std::size_t conn,
-            ConnResult &result)
+            std::latch &allSetUp, ConnResult &result)
 {
     const int fd = connectTo(options.connect);
     ReplyStream replies{fd, {}, 0};
     CommandStream stream(options, conn);
     std::string unit;
-    runSetup(fd, replies, stream);
+    runSetup(fd, replies, stream, allSetUp, result);
 
     constexpr std::size_t kMaxOutstanding = 4096;
     std::mutex mutex;
@@ -851,23 +862,33 @@ main(int argc, char **argv)
         std::vector<std::thread> threads;
         threads.reserve(options.connections);
 
-        const std::uint64_t startNs = nowNs();
+        std::uint64_t startNs = nowNs();
+        std::latch allSetUp(
+            static_cast<std::ptrdiff_t>(options.connections));
         for (std::size_t c = 0; c < options.connections; ++c) {
             threads.emplace_back([&, c] {
                 try {
                     if (options.openLoop)
-                        runOpenLoop(options, c, results[c]);
+                        runOpenLoop(options, c, allSetUp, results[c]);
                     else
-                        runClosedLoop(options, c, results[c]);
+                        runClosedLoop(options, c, allSetUp,
+                                      results[c]);
                 } catch (const std::exception &error) {
                     std::cerr << "connection " << c << ": "
                               << error.what() << "\n";
                     results[c].failed = true;
+                    // Never strand the others at the start gate.
+                    if (!results[c].setUp)
+                        allSetUp.count_down();
                 }
             });
         }
         for (auto &thread : threads)
             thread.join();
+        // The measured window opens when the start gate does.
+        for (const ConnResult &result : results)
+            if (result.timedStartNs != 0)
+                startNs = std::max(startNs, result.timedStartNs);
         const std::uint64_t wallNs =
             std::max<std::uint64_t>(1, nowNs() - startNs);
 
