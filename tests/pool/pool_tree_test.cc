@@ -481,4 +481,256 @@ TEST(PoolTree, PoolViewsTrackSubtreeAndDirectCounts)
     ASSERT_TRUE(tree.selfCheck());
 }
 
+/**
+ * A churn that walks the agent store across its compaction boundary:
+ * the tree plus everything it must hold, checked after every step.
+ * Departed agents leave holes in the admission-order index until
+ * they outnumber the live agents; the checks below must hold on
+ * either side of that point and through it.
+ */
+class BoundaryChurn
+{
+  public:
+    /** Flat (root only), or pooled with weighted nested pools. */
+    explicit BoundaryChurn(bool pooled) : tree_(capacity())
+    {
+        if (pooled)
+            pools_ = {{"a", 2.0}, {"a/b", 0.5}, {"c", 1.0}};
+        for (const auto &[path, weight] : pools_)
+            tree_.createPool(path, weight);
+    }
+
+    PoolTree &tree() { return tree_; }
+    std::size_t live() const { return live_.size(); }
+
+    void admit(std::uint32_t seed)
+    {
+        Expected agent;
+        agent.name = "agent" + std::to_string(nextSeq_);
+        agent.seq = nextSeq_++;
+        agent.pool = pathFor(seed);
+        agent.elasticities = elasticitiesFor(seed);
+        tree_.admit(agent.name, agent.elasticities, agent.pool);
+        live_.push_back(std::move(agent));
+    }
+
+    void update(std::size_t i, std::uint32_t seed)
+    {
+        Expected &agent = live_[i % live_.size()];
+        agent.elasticities = elasticitiesFor(seed);
+        tree_.update(agent.name, agent.elasticities);
+    }
+
+    void assign(std::size_t i, std::uint32_t seed)
+    {
+        Expected &agent = live_[i % live_.size()];
+        agent.pool = pathFor(seed);
+        tree_.assign(agent.name, agent.pool);
+    }
+
+    void label(std::size_t i, const std::string &cohort)
+    {
+        Expected &agent = live_[i % live_.size()];
+        agent.cohort = cohort;
+        tree_.setCohort(agent.name, cohort);
+    }
+
+    void depart(std::size_t i)
+    {
+        const auto at = live_.begin() +
+                        static_cast<std::ptrdiff_t>(i % live_.size());
+        tree_.depart(at->name);
+        live_.erase(at);
+    }
+
+    /** Move the tree out and back: once constructed, once assigned. */
+    void moveTree()
+    {
+        PoolTree moved(std::move(tree_));
+        ASSERT_NO_FATAL_FAILURE(verify(moved));
+        tree_ = std::move(moved);
+    }
+
+    void verify() { verify(tree_); }
+
+    /**
+     * Every live name resolves to its own seq, pool and elasticities;
+     * the dense rows come out in strictly ascending seq with each
+     * agent's cohort; selfCheck() holds; and the allocation equals,
+     * bit for bit, a fresh tree's that admitted the same agents in
+     * seq order.
+     */
+    void verify(const PoolTree &tree) const
+    {
+        ASSERT_TRUE(tree.selfCheck());
+        ASSERT_EQ(tree.size(), live_.size());
+        const std::size_t resources = capacity().count();
+        for (const Expected &agent : live_) {
+            ASSERT_TRUE(tree.contains(agent.name)) << agent.name;
+            const auto held = tree.agent(agent.name);
+            EXPECT_EQ(held.seq, agent.seq) << agent.name;
+            EXPECT_EQ(tree.poolPath(held.pool), agent.pool)
+                << agent.name;
+            EXPECT_EQ(tree.poolOf(agent.name), agent.pool);
+            ASSERT_EQ(held.elasticities.size(), resources);
+            for (std::size_t r = 0; r < resources; ++r)
+                EXPECT_EQ(held.elasticities[r], agent.elasticities[r])
+                    << agent.name;
+        }
+        if (live_.empty())
+            return;
+
+        pool::DenseRows rows;
+        tree.allocateDense(rows);
+        ASSERT_EQ(rows.names.size(), live_.size());
+        ASSERT_EQ(rows.seqs.size(), live_.size());
+        bool labelled = false;
+        for (std::size_t i = 0; i < live_.size(); ++i) {
+            EXPECT_EQ(rows.names[i], live_[i].name);
+            EXPECT_EQ(rows.seqs[i], live_[i].seq);
+            if (i > 0) {
+                EXPECT_LT(rows.seqs[i - 1], rows.seqs[i]);
+            }
+            for (std::size_t r = 0; r < resources; ++r)
+                EXPECT_EQ(rows.elasticities[i * resources + r],
+                          live_[i].elasticities[r]);
+            labelled = labelled || !live_[i].cohort.empty();
+        }
+        ASSERT_EQ(rows.labels.size(), labelled ? live_.size() : 0u);
+        for (std::size_t i = 0; i < rows.labels.size(); ++i) {
+            if (live_[i].cohort.empty())
+                EXPECT_EQ(rows.labels[i], core::kNoLabel);
+            else
+                EXPECT_EQ(rows.cohorts.at(rows.labels[i]).first,
+                          live_[i].cohort);
+        }
+
+        PoolTree fresh(capacity());
+        for (const auto &[path, weight] : pools_)
+            fresh.createPool(path, weight);
+        for (const Expected &agent : live_)
+            fresh.admit(agent.name, agent.elasticities, agent.pool);
+        for (std::size_t r = 0; r < resources; ++r)
+            EXPECT_EQ(fresh.denominator(r), tree.denominator(r));
+        expectBitwiseEqual(rows.allocation, fresh.allocateDense());
+        for (const Expected &agent : live_) {
+            const linalg::Vector held = tree.sharesOf(agent.name);
+            const linalg::Vector want = fresh.sharesOf(agent.name);
+            for (std::size_t r = 0; r < resources; ++r)
+                EXPECT_EQ(held[r], want[r]) << agent.name;
+        }
+    }
+
+  private:
+    struct Expected
+    {
+        std::string name;
+        std::uint64_t seq = 0;
+        std::string pool;
+        linalg::Vector elasticities;
+        std::string cohort;
+    };
+
+    std::string pathFor(std::uint32_t seed) const
+    {
+        if (pools_.empty())
+            return pool::kRootPath;
+        const std::size_t pick = seed % (pools_.size() + 1);
+        return pick == pools_.size() ? std::string(pool::kRootPath)
+                                     : pools_[pick].first;
+    }
+
+    static linalg::Vector elasticitiesFor(std::uint32_t seed)
+    {
+        std::mt19937 rng(seed);
+        std::uniform_real_distribution<double> draw(0.05, 1.0);
+        return {draw(rng), draw(rng)};
+    }
+
+    PoolTree tree_;
+    std::vector<std::pair<std::string, double>> pools_;
+    std::vector<Expected> live_;  //!< Ascending seq.
+    std::uint64_t nextSeq_ = 0;
+};
+
+/**
+ * Admit a population, depart from the front, back and middle until
+ * well past the point where holes outnumber the live agents, then keep
+ * admitting, updating, assigning and labelling, and cross the
+ * boundary a second time — checking everything after every step and
+ * across two moves of the tree.
+ */
+void
+churnAcrossCompaction(bool pooled)
+{
+    BoundaryChurn churn(pooled);
+    std::uint32_t seed = 1;
+    for (int i = 0; i < 48; ++i) {
+        churn.admit(seed++);
+        if (i % 5 == 0)
+            churn.label(static_cast<std::size_t>(i),
+                        i % 10 == 0 ? "gold" : "tin");
+    }
+    ASSERT_NO_FATAL_FAILURE(churn.verify());
+
+    // Departures: front, back, middle in turn, through the boundary.
+    for (int d = 0; d < 34; ++d) {
+        const std::size_t live = churn.live();
+        churn.depart(d % 3 == 0 ? 0 : d % 3 == 1 ? live - 1 : live / 2);
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "depart " << d;
+    }
+    ASSERT_NO_FATAL_FAILURE(churn.moveTree());
+    ASSERT_NO_FATAL_FAILURE(churn.verify());
+
+    // Keep churning on the compacted index.
+    for (int op = 0; op < 60; ++op) {
+        switch (op % 4) {
+        case 0:
+            churn.admit(seed++);
+            break;
+        case 1:
+            churn.update(static_cast<std::size_t>(op) * 7, seed++);
+            break;
+        case 2:
+            churn.assign(static_cast<std::size_t>(op) * 5, seed++);
+            break;
+        default:
+            churn.label(static_cast<std::size_t>(op) * 3,
+                        op % 8 == 3 ? "gold" : "silver");
+            break;
+        }
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "op " << op;
+    }
+
+    // Cross the boundary again, re-admitting as the index shrinks.
+    for (int d = 0; d < 24; ++d) {
+        churn.depart(static_cast<std::size_t>(d) * 11);
+        if (d % 4 == 0)
+            churn.admit(seed++);
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "second " << d;
+    }
+    ASSERT_NO_FATAL_FAILURE(churn.moveTree());
+    for (int op = 0; op < 12; ++op) {
+        churn.admit(seed++);
+        churn.update(static_cast<std::size_t>(op), seed++);
+        churn.assign(static_cast<std::size_t>(op) * 13, seed++);
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "tail " << op;
+    }
+    while (churn.live() > 0) {
+        churn.depart(churn.live() / 2);
+        ASSERT_NO_FATAL_FAILURE(churn.verify());
+    }
+    EXPECT_TRUE(churn.tree().empty());
+}
+
+TEST(PoolTree, CompactionBoundaryChurnFlat)
+{
+    churnAcrossCompaction(false);
+}
+
+TEST(PoolTree, CompactionBoundaryChurnWeightedPools)
+{
+    churnAcrossCompaction(true);
+}
+
 } // namespace

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "core/fairness.hh"
 #include "core/proportional_elasticity.hh"
 #include "pool/pool_tree.hh"
+#include "svc/allocation_service.hh"
+#include "svc/snapshot.hh"
 
 namespace {
 
@@ -299,6 +302,222 @@ TEST(ChurnProperty, WideMagnitudeChurnStaysExact)
     tree.update("tiny0", {2e-9, 4e-9});
     tree.depart("huge2");
     expectMatchesScratch(tree);
+}
+
+/**
+ * The same agents driven through a service across the agent store's
+ * compaction boundary (departed agents leave holes in the admission
+ * order until they outnumber the live ones), then carried into other
+ * services by snapshot resync (adoptState), which keep churning in
+ * lock step with the original.
+ */
+class ServiceBoundaryChurn
+{
+  public:
+    explicit ServiceBoundaryChurn(bool pooled) : pooled_(pooled)
+    {
+        config_.pooled = pooled;
+        config_.buildEnforcement = false;
+        config_.epoch.verifyIncremental = true;
+        if (pooled)
+            pools_ = {{"a", 2.0}, {"a/b", 0.5}, {"c", 1.0}};
+        services_.push_back(
+            std::make_unique<svc::AllocationService>(config_));
+        for (const auto &[path, weight] : pools_)
+            services_.front()->createPool(path, weight);
+    }
+
+    std::size_t live() const { return live_.size(); }
+
+    /** A new service that adopts the first one's state. */
+    void adopt()
+    {
+        std::uint64_t seq = 0;
+        const svc::ServiceState state = svc::decodeServiceState(
+            services_.front()->captureReplicationSnapshot(seq));
+        services_.push_back(
+            std::make_unique<svc::AllocationService>(config_));
+        services_.back()->adoptState(state);
+    }
+
+    void admit(std::uint32_t seed)
+    {
+        Expected agent{"agent" + std::to_string(nextId_++),
+                       elasticitiesFor(seed), pathFor(seed)};
+        for (auto &service : services_) {
+            service->admit(agent.name, agent.elasticities);
+            if (agent.pool != pool::kRootPath)
+                service->assignPool(agent.name, agent.pool);
+        }
+        live_.push_back(std::move(agent));
+    }
+
+    void update(std::size_t i, std::uint32_t seed)
+    {
+        Expected &agent = live_[i % live_.size()];
+        agent.elasticities = elasticitiesFor(seed);
+        for (auto &service : services_)
+            service->update(agent.name, agent.elasticities);
+    }
+
+    void assign(std::size_t i, std::uint32_t seed)
+    {
+        if (!pooled_)
+            return;
+        Expected &agent = live_[i % live_.size()];
+        agent.pool = pathFor(seed);
+        for (auto &service : services_)
+            service->assignPool(agent.name, agent.pool);
+    }
+
+    void depart(std::size_t i)
+    {
+        const auto at = live_.begin() +
+                        static_cast<std::ptrdiff_t>(i % live_.size());
+        for (auto &service : services_)
+            service->depart(at->name);
+        live_.erase(at);
+    }
+
+    /**
+     * TICK every service. Each must pass its self-check and hold the
+     * same state hash; a flat one publishes the live agents in
+     * strictly ascending seq, a pooled one answers each agent's pool;
+     * and every share equals, bit for bit, a fresh tree's that
+     * admitted the same agents in admission order.
+     */
+    void verify()
+    {
+        pool::PoolTree fresh(config_.capacity);
+        for (const auto &[path, weight] : pools_)
+            fresh.createPool(path, weight);
+        for (const Expected &agent : live_)
+            fresh.admit(agent.name, agent.elasticities, agent.pool);
+        const core::Allocation want =
+            live_.empty() ? core::Allocation() : fresh.allocateDense();
+
+        for (auto &service : services_) {
+            const svc::EpochResult result = service->tick();
+            ASSERT_TRUE(result.incrementalMatchesScratch);
+            ASSERT_EQ(service->liveAgents(), live_.size());
+            EXPECT_EQ(service->stateHash(),
+                      services_.front()->stateHash());
+            if (pooled_) {
+                for (const Expected &agent : live_) {
+                    EXPECT_EQ(service->agentPool(agent.name),
+                              agent.pool);
+                    const linalg::Vector shares =
+                        service->agentShares(agent.name);
+                    const linalg::Vector expected =
+                        fresh.sharesOf(agent.name);
+                    for (std::size_t r = 0; r < shares.size(); ++r)
+                        EXPECT_EQ(shares[r], expected[r])
+                            << agent.name;
+                }
+                continue;
+            }
+            const auto published = service->snapshot();
+            ASSERT_EQ(published->agents.size(), live_.size());
+            for (std::size_t i = 0; i < live_.size(); ++i)
+                EXPECT_EQ(published->agents[i], live_[i].name);
+            ASSERT_EQ(published->seqs.size(), live_.size());
+            for (std::size_t i = 1; i < published->seqs.size(); ++i)
+                EXPECT_LT(published->seqs[i - 1], published->seqs[i]);
+            if (live_.empty())
+                continue;
+            ASSERT_EQ(published->allocation.agents(), want.agents());
+            for (std::size_t i = 0; i < want.agents(); ++i)
+                for (std::size_t r = 0; r < want.resources(); ++r)
+                    ASSERT_EQ(published->allocation.at(i, r),
+                              want.at(i, r))
+                        << "agent " << i << " resource " << r;
+        }
+    }
+
+  private:
+    struct Expected
+    {
+        std::string name;
+        linalg::Vector elasticities;
+        std::string pool;
+    };
+
+    std::string pathFor(std::uint32_t seed) const
+    {
+        if (pools_.empty())
+            return pool::kRootPath;
+        const std::size_t pick = seed % (pools_.size() + 1);
+        return pick == pools_.size() ? std::string(pool::kRootPath)
+                                     : pools_[pick].first;
+    }
+
+    static linalg::Vector elasticitiesFor(std::uint32_t seed)
+    {
+        std::mt19937 rng(seed);
+        std::uniform_real_distribution<double> draw(0.05, 4.0);
+        return {draw(rng), draw(rng)};
+    }
+
+    bool pooled_;
+    svc::ServiceConfig config_;
+    std::vector<std::pair<std::string, double>> pools_;
+    std::vector<std::unique_ptr<svc::AllocationService>> services_;
+    std::vector<Expected> live_;  //!< Admission order.
+    std::uint64_t nextId_ = 0;
+};
+
+void
+serviceChurnAcrossCompaction(bool pooled)
+{
+    ServiceBoundaryChurn churn(pooled);
+    std::uint32_t seed = 100;
+    for (int i = 0; i < 40; ++i)
+        churn.admit(seed++);
+    ASSERT_NO_FATAL_FAILURE(churn.verify());
+
+    // Through the boundary: front, back and middle in turn.
+    for (int d = 0; d < 28; ++d) {
+        const std::size_t live = churn.live();
+        churn.depart(d % 3 == 0 ? 0 : d % 3 == 1 ? live - 1 : live / 2);
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "depart " << d;
+    }
+    // A follower resyncs from the compacted store, then both churn.
+    churn.adopt();
+    ASSERT_NO_FATAL_FAILURE(churn.verify());
+    for (int op = 0; op < 30; ++op) {
+        switch (op % 3) {
+        case 0:
+            churn.admit(seed++);
+            break;
+        case 1:
+            churn.update(static_cast<std::size_t>(op) * 7, seed++);
+            break;
+        default:
+            churn.assign(static_cast<std::size_t>(op) * 5, seed++);
+            break;
+        }
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "op " << op;
+    }
+    // Every store crosses the boundary again; a second follower
+    // adopts mid-way.
+    for (int d = 0; d < 20; ++d) {
+        churn.depart(static_cast<std::size_t>(d) * 11);
+        if (d % 4 == 0)
+            churn.admit(seed++);
+        if (d == 10)
+            churn.adopt();
+        ASSERT_NO_FATAL_FAILURE(churn.verify()) << "second " << d;
+    }
+}
+
+TEST(ChurnProperty, CompactionBoundaryFlatSurvivesAdoptState)
+{
+    serviceChurnAcrossCompaction(false);
+}
+
+TEST(ChurnProperty, CompactionBoundaryPooledSurvivesAdoptState)
+{
+    serviceChurnAcrossCompaction(true);
 }
 
 } // namespace
