@@ -14,7 +14,8 @@ PoolTree::PoolTree(core::SystemCapacity capacity)
 {
     Node root;
     root.path = kRootPath;
-    root.subtree.resize(capacity_.count());
+    subtree_.resize(capacity_.count());
+    scratch_.resize(capacity_.count());
     nodeIndex_.emplace(root.path, 0);
     nodes_.push_back(std::move(root));
 }
@@ -97,13 +98,13 @@ PoolTree::createPool(const std::string &path, double weight,
     node.gain = nodes_[parent->second].gain * weight;
     node.depth = nodes_[parent->second].depth + 1;
     node.createdEpoch = epoch;
-    node.subtree.resize(capacity_.count());
     REF_REQUIRE(std::isfinite(node.gain) && node.gain > 0,
                 "pool '" << path << "' cumulative gain " << node.gain
                          << " is out of range");
     nodeIndex_.emplace(path, static_cast<std::uint32_t>(nodes_.size()));
     maxDepth_ = std::max<std::size_t>(maxDepth_, node.depth);
     nodes_.push_back(std::move(node));
+    subtree_.resize(subtree_.size() + capacity_.count());
     ++churnEvents_;
 }
 
@@ -148,37 +149,45 @@ PoolTree::validateAgent(const std::string &name,
     }
 }
 
-PooledAgent &
-PoolTree::entryOf(const std::string &name)
+std::uint32_t
+PoolTree::slotOf(const std::string &name) const
 {
-    return const_cast<PooledAgent &>(agent(name));
-}
-
-const PooledAgent &
-PoolTree::agent(const std::string &name) const
-{
-    const auto found = agents_.find(name);
-    REF_REQUIRE(found != agents_.end(),
+    const auto found = slotOf_.find(name);
+    REF_REQUIRE(found != slotOf_.end(),
                 "agent '" << name << "' is not registered");
     return found->second;
 }
 
-linalg::Vector
-PoolTree::effectiveFor(const linalg::Vector &rescaled,
-                       std::uint32_t pool) const
+AgentRef
+PoolTree::agentAt(std::uint32_t slot) const
 {
-    // gain == 1.0 multiplies exactly, so unweighted trees keep
-    // effective bit-identical to the rescaled values.
-    const double gain = nodes_[pool].gain;
-    linalg::Vector effective(rescaled.size());
-    for (std::size_t r = 0; r < rescaled.size(); ++r)
-        effective[r] = gain * rescaled[r];
-    return effective;
+    return {names_[slot]->first,
+            {reportedAt(slot), capacity_.count()},
+            seqs_[slot],
+            pools_[slot],
+            admittedEpochs_[slot]};
+}
+
+AgentRef
+PoolTree::agent(const std::string &name) const
+{
+    return agentAt(slotOf(name));
 }
 
 void
-PoolTree::applyAlongPath(std::uint32_t pool,
-                         const linalg::Vector &effective, int direction)
+PoolTree::rescale(const double *reported, std::uint32_t pool)
+{
+    normalizeToUnitSum({reported, capacity_.count()}, scratch_.data());
+    // gain == 1.0 multiplies exactly, so unweighted trees keep
+    // effective bit-identical to the rescaled values.
+    const double gain = nodes_[pool].gain;
+    for (double &value : scratch_)
+        value = gain * value;
+}
+
+void
+PoolTree::applyAlongPath(std::uint32_t pool, const double *effective,
+                         int direction)
 {
     if (direction > 0)
         ++nodes_[pool].directAgents;
@@ -186,11 +195,12 @@ PoolTree::applyAlongPath(std::uint32_t pool,
         --nodes_[pool].directAgents;
     for (std::uint32_t node = pool;; node = nodes_[node].parent) {
         Node &at = nodes_[node];
-        for (std::size_t r = 0; r < effective.size(); ++r) {
+        ExactSum *sums = subtree(node);
+        for (std::size_t r = 0; r < capacity_.count(); ++r) {
             if (direction > 0)
-                at.subtree[r].add(effective[r]);
+                sums[r].add(effective[r]);
             else
-                at.subtree[r].subtract(effective[r]);
+                sums[r].subtract(effective[r]);
         }
         if (direction > 0)
             ++at.agentsInSubtree;
@@ -210,20 +220,22 @@ PoolTree::admit(const std::string &name,
     REF_REQUIRE(!contains(name),
                 "agent '" << name << "' is already registered");
     const std::uint32_t pool = resolve(poolPath);
+    rescale(elasticities.data(), pool);
 
-    PooledAgent agent;
-    agent.name = name;
-    agent.elasticities = elasticities;
-    agent.rescaled = normalizeToUnitSum(elasticities);
-    agent.effective = effectiveFor(agent.rescaled, pool);
-    agent.admittedEpoch = epoch;
-    agent.seq = nextSeq_++;
-    agent.pool = pool;
-
-    applyAlongPath(pool, agent.effective, +1);
-    const auto placed = agents_.emplace(name, std::move(agent));
-    order_.emplace_back(placed.first->second.seq,
-                        &placed.first->second);
+    applyAlongPath(pool, scratch_.data(), +1);
+    const auto slot = static_cast<std::uint32_t>(names_.size());
+    if (slot == names_.capacity())
+        growSlots();
+    names_.push_back(&*slotOf_.emplace(name, slot).first);
+    seqs_.push_back(nextSeq_++);
+    admittedEpochs_.push_back(epoch);
+    pools_.push_back(pool);
+    reported_.insert(reported_.end(), elasticities.begin(),
+                     elasticities.end());
+    effective_.insert(effective_.end(), scratch_.begin(),
+                      scratch_.end());
+    if (!cohortOf_.empty())
+        cohortOf_.push_back(nullptr);
     ++churnEvents_;
 }
 
@@ -232,14 +244,15 @@ PoolTree::update(const std::string &name,
                  const linalg::Vector &elasticities)
 {
     validateAgent(name, elasticities);
-    PooledAgent &agent = entryOf(name);
-    const linalg::Vector rescaled = normalizeToUnitSum(elasticities);
-    const linalg::Vector effective = effectiveFor(rescaled, agent.pool);
-    applyAlongPath(agent.pool, agent.effective, -1);
-    applyAlongPath(agent.pool, effective, +1);
-    agent.elasticities = elasticities;
-    agent.rescaled = rescaled;
-    agent.effective = effective;
+    const std::uint32_t slot = slotOf(name);
+    rescale(elasticities.data(), pools_[slot]);
+    double *effective = effectiveAt(slot);
+    applyAlongPath(pools_[slot], effective, -1);
+    applyAlongPath(pools_[slot], scratch_.data(), +1);
+    std::copy(elasticities.begin(), elasticities.end(),
+              reported_.begin() +
+                  static_cast<std::ptrdiff_t>(slot * capacity_.count()));
+    std::copy(scratch_.begin(), scratch_.end(), effective);
     ++churnEvents_;
 }
 
@@ -247,89 +260,141 @@ void
 PoolTree::assign(const std::string &name, const std::string &poolPath)
 {
     const std::uint32_t pool = resolve(poolPath);
-    PooledAgent &agent = entryOf(name);
-    if (agent.pool == pool)
+    const std::uint32_t slot = slotOf(name);
+    if (pools_[slot] == pool)
         return; // Idempotent: already resident.
 
-    const linalg::Vector effective = effectiveFor(agent.rescaled, pool);
-    applyAlongPath(agent.pool, agent.effective, -1);
-    applyAlongPath(pool, effective, +1);
-    agent.pool = pool;
-    agent.effective = effective;
+    rescale(reportedAt(slot), pool);
+    double *effective = effectiveAt(slot);
+    applyAlongPath(pools_[slot], effective, -1);
+    applyAlongPath(pool, scratch_.data(), +1);
+    pools_[slot] = pool;
+    std::copy(scratch_.begin(), scratch_.end(), effective);
     ++churnEvents_;
 }
 
 void
 PoolTree::depart(const std::string &name)
 {
-    PooledAgent &agent = entryOf(name);
-    applyAlongPath(agent.pool, agent.effective, -1);
-    const auto slot = std::lower_bound(
-        order_.begin(), order_.end(), agent.seq,
-        [](const auto &entry, std::uint64_t seq) {
-            return entry.first < seq;
-        });
-    slot->second = nullptr;
-    if (++holes_ > agents_.size()) {
-        std::erase_if(order_, [](const auto &entry) {
-            return entry.second == nullptr;
-        });
-        holes_ = 0;
-    }
-    leaveCohort(agent);
-    agents_.erase(name);
+    const auto found = slotOf_.find(name);
+    REF_REQUIRE(found != slotOf_.end(),
+                "agent '" << name << "' is not registered");
+    const std::uint32_t slot = found->second;
+    applyAlongPath(pools_[slot], effectiveAt(slot), -1);
+    leaveCohort(slot);
+    names_[slot] = nullptr;
+    slotOf_.erase(found);
+    if (++holes_ > slotOf_.size())
+        compact();
     ++churnEvents_;
+}
+
+void
+PoolTree::growSlots()
+{
+    // A quarter more each time, not the library's doubling: at ~60
+    // bytes a slot, doubling can leave nearly half the arrays
+    // unused. Growth copies each slot about four times on average,
+    // so admission stays amortised O(1).
+    const std::size_t slots = names_.size() + names_.size() / 4 + 64;
+    names_.reserve(slots);
+    seqs_.reserve(slots);
+    admittedEpochs_.reserve(slots);
+    pools_.reserve(slots);
+    reported_.reserve(slots * capacity_.count());
+    effective_.reserve(slots * capacity_.count());
+    if (!cohortOf_.empty())
+        cohortOf_.reserve(slots);
+}
+
+void
+PoolTree::compact()
+{
+    const std::size_t resources = capacity_.count();
+    const bool labelled = !cohortOf_.empty();
+    std::uint32_t kept = 0;
+    for (std::uint32_t slot = 0; slot < names_.size(); ++slot) {
+        if (names_[slot] == nullptr)
+            continue;
+        if (kept != slot) {
+            names_[kept] = names_[slot];
+            names_[kept]->second = kept;
+            seqs_[kept] = seqs_[slot];
+            admittedEpochs_[kept] = admittedEpochs_[slot];
+            pools_[kept] = pools_[slot];
+            std::copy_n(&reported_[slot * resources], resources,
+                        &reported_[kept * resources]);
+            std::copy_n(&effective_[slot * resources], resources,
+                        &effective_[kept * resources]);
+            if (labelled)
+                cohortOf_[kept] = cohortOf_[slot];
+        }
+        ++kept;
+    }
+    names_.resize(kept);
+    seqs_.resize(kept);
+    admittedEpochs_.resize(kept);
+    pools_.resize(kept);
+    reported_.resize(kept * resources);
+    effective_.resize(kept * resources);
+    if (labelled)
+        cohortOf_.resize(kept);
+    holes_ = 0;
 }
 
 void
 PoolTree::setCohort(const std::string &name, const std::string &label)
 {
-    PooledAgent &agent = entryOf(name);
+    const std::uint32_t slot = slotOf(name);
     const auto entry = cohorts_.try_emplace(label).first;
     ++entry->second.members;
-    leaveCohort(agent);
-    agent.cohort = &*entry;
+    leaveCohort(slot);
+    if (cohortOf_.empty())
+        cohortOf_.resize(names_.size(), nullptr);
+    cohortOf_[slot] = &*entry;
 }
 
 void
-PoolTree::leaveCohort(PooledAgent &agent)
+PoolTree::leaveCohort(std::uint32_t slot)
 {
-    if (agent.cohort == nullptr)
+    if (cohortOf_.empty() || cohortOf_[slot] == nullptr)
         return;
-    const auto entry = cohorts_.find(agent.cohort->first);
+    const auto entry = cohorts_.find(cohortOf_[slot]->first);
     if (--entry->second.members == 0)
         cohorts_.erase(entry);
-    agent.cohort = nullptr;
+    cohortOf_[slot] = nullptr;
+    if (cohorts_.empty())
+        cohortOf_.clear();
 }
 
 bool
 PoolTree::contains(const std::string &name) const
 {
-    return agents_.find(name) != agents_.end();
+    return slotOf_.find(name) != slotOf_.end();
 }
 
 const std::string &
 PoolTree::poolOf(const std::string &name) const
 {
-    return nodes_[agent(name).pool].path;
+    return nodes_[pools_[slotOf(name)]].path;
 }
 
 double
 PoolTree::denominator(std::size_t r) const
 {
-    return nodes_[0].subtree[r].round();
+    return subtree(0)[r].round();
 }
 
 linalg::Vector
 PoolTree::sharesOf(const std::string &name) const
 {
-    const PooledAgent &entry = agent(name);
+    const double *effective = effectiveAt(slotOf(name));
     linalg::Vector shares(capacity_.count());
     for (std::size_t r = 0; r < capacity_.count(); ++r) {
         const double d = denominator(r);
         REF_ASSERT(d > 0,
                    "effective claims sum to zero for resource " << r);
-        shares[r] = entry.effective[r] / d * capacity_.capacity(r);
+        shares[r] = effective[r] / d * capacity_.capacity(r);
     }
     return shares;
 }
@@ -337,13 +402,13 @@ PoolTree::sharesOf(const std::string &name) const
 linalg::Vector
 PoolTree::poolShareFractions(const std::string &path) const
 {
-    const Node &node = nodes_[resolve(path)];
+    const ExactSum *node = subtree(resolve(path));
     linalg::Vector fractions(capacity_.count(), 0.0);
     if (empty())
         return fractions;
     const std::vector<double> sums = denominators();
     for (std::size_t r = 0; r < capacity_.count(); ++r)
-        fractions[r] = node.subtree[r].round() / sums[r];
+        fractions[r] = node[r].round() / sums[r];
     return fractions;
 }
 
@@ -351,14 +416,12 @@ void
 PoolTree::poolShareFractions(std::vector<double> &out) const
 {
     const std::size_t resources = capacity_.count();
-    out.assign(nodes_.size() * resources, 0.0);
+    out.assign(subtree_.size(), 0.0);
     if (empty())
         return;
     const std::vector<double> sums = denominators();
-    double *fraction = out.data();
-    for (const Node &node : nodes_)
-        for (std::size_t r = 0; r < resources; ++r)
-            *fraction++ = node.subtree[r].round() / sums[r];
+    for (std::size_t i = 0; i < subtree_.size(); ++i)
+        out[i] = subtree_[i].round() / sums[i % resources];
 }
 
 std::vector<PoolView>
@@ -377,17 +440,6 @@ PoolTree::pools() const
         views.push_back(std::move(view));
     }
     return views;
-}
-
-std::vector<const PooledAgent *>
-PoolTree::denseOrder() const
-{
-    std::vector<const PooledAgent *> order;
-    order.reserve(agents_.size());
-    for (const auto &entry : order_)
-        if (entry.second != nullptr)
-            order.push_back(entry.second);
-    return order;
 }
 
 core::AgentList
@@ -442,7 +494,7 @@ PoolTree::allocateWith(const std::vector<double> &denominators,
 {
     REF_REQUIRE(!empty(), "no agents to allocate to");
     const std::size_t resources = capacity_.count();
-    const std::size_t count = agents_.size();
+    const std::size_t count = size();
     core::Allocation allocation(count, resources);
     const bool labelled = rows != nullptr && !cohorts_.empty();
     if (rows != nullptr) {
@@ -457,25 +509,25 @@ PoolTree::allocateWith(const std::vector<double> &denominators,
             rows->labels.reserve(count);
     }
     std::size_t i = 0;
-    for (const auto &[seq, slot] : order_) {
-        if (slot == nullptr)
+    for (std::uint32_t slot = 0; slot < names_.size(); ++slot) {
+        if (names_[slot] == nullptr)
             continue;
-        const PooledAgent &entry = *slot;
         // The closed form's own expression, applied to the same
         // doubles: with unit gains the exact denominators make this
         // bit-identical to ProportionalElasticityMechanism.
+        const double *effective = effectiveAt(slot);
         for (std::size_t r = 0; r < resources; ++r)
-            allocation.at(i, r) = entry.effective[r] / denominators[r] *
+            allocation.at(i, r) = effective[r] / denominators[r] *
                                   capacity_.capacity(r);
         if (rows != nullptr) {
-            rows->names.push_back(entry.name);
-            rows->seqs.push_back(seq);
+            rows->names.push_back(names_[slot]->first);
+            rows->seqs.push_back(seqs_[slot]);
+            const double *reported = reportedAt(slot);
             rows->elasticities.insert(rows->elasticities.end(),
-                                      entry.elasticities.begin(),
-                                      entry.elasticities.end());
+                                      reported, reported + resources);
             if (labelled)
-                rows->labels.push_back(entry.cohort != nullptr
-                                           ? entry.cohort->second.id
+                rows->labels.push_back(cohortOf_[slot] != nullptr
+                                           ? cohortOf_[slot]->second.id
                                            : core::kNoLabel);
         }
         ++i;
@@ -486,16 +538,18 @@ PoolTree::allocateWith(const std::vector<double> &denominators,
 bool
 PoolTree::selfCheck() const
 {
-    std::vector<double> scratchDenominators(capacity_.count());
-    for (std::size_t r = 0; r < capacity_.count(); ++r) {
-        // Rebuild in arbitrary (hash) order: ExactSum's
-        // order-independence makes this round identically to the
-        // incrementally maintained root sums.
+    const std::size_t resources = capacity_.count();
+    std::vector<double> scratchDenominators(resources);
+    for (std::size_t r = 0; r < resources; ++r) {
+        // Rebuild over the slots: ExactSum's order-independence makes
+        // this round identically to the incrementally maintained root
+        // sums, which saw the claims in churn order.
         ExactSum scratch;
-        for (const auto &entry : agents_)
-            scratch.add(entry.second.effective[r]);
+        for (std::uint32_t slot = 0; slot < names_.size(); ++slot)
+            if (names_[slot] != nullptr)
+                scratch.add(effective_[slot * resources + r]);
         scratchDenominators[r] = scratch.round();
-        if (nodes_[0].subtree[r].round() != scratchDenominators[r])
+        if (denominator(r) != scratchDenominators[r])
             return false;
     }
     if (empty())

@@ -23,18 +23,31 @@
  * and the pooled allocation is bit-identical to the flat solve.
  *
  * Incrementality: every tree node keeps the per-resource ExactSum of
- * the effective claims in its subtree, and the agents live in one
- * name-keyed map. An admit / update / depart / re-assign therefore
- * touches one map entry plus the root-to-leaf path — O(depth x
- * resources) ExactSum operations, independent of the population.
+ * the effective claims in its subtree, and each agent lives in one
+ * slot of a set of parallel arrays, found through one name -> slot
+ * map. An admit / update / depart / re-assign therefore touches one
+ * slot plus the root-to-leaf path — O(depth x resources) ExactSum
+ * operations, independent of the population.
  * Because ExactSums hold the exact real sum as non-overlapping
  * partials, the incrementally maintained root sums round to the very
  * same double as one from-scratch sum over all agents, in any order —
  * the property selfCheck() asserts (incremental root vs scratch
  * rebuild) plus a bitwise dense-allocation compare.
  *
+ * The slots follow admission (seq) order, so the dense walk, the
+ * self-check and a state capture are straight passes over arrays. A
+ * slot holds what cannot be derived: name (by pointer into the map),
+ * seq, pool, admitted epoch, the reported elasticities and the
+ * effective claims the ExactSums hold. The re-scaled values (Eq. 12)
+ * are not stored: normalizeToUnitSum of the reported values is
+ * deterministic, so a re-assign recomputes them bit for bit. A
+ * departed agent's slot is a hole (null name) until the holes
+ * outnumber the live agents; compaction then closes them in one pass,
+ * so there are never more than 2 x size() slots and each departure
+ * pays O(1) amortised.
+ *
  * A flat service may also label agents with a cohort. The label is
- * telemetry only: it lives in the agent's record, leaves with the
+ * telemetry only: it lives in the agent's slot, leaves with the
  * agent, and is never persisted, hashed or counted as churn.
  */
 
@@ -43,6 +56,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,23 +89,18 @@ struct Cohort
 /** Cohort labels in label order. */
 using CohortMap = std::map<std::string, Cohort>;
 
-/** One agent resident in the pool tree. */
-struct PooledAgent
+/** One live agent, read from its slot (PoolTree::agent,
+ *  PoolTree::forEachAgent); valid until the tree next changes. */
+struct AgentRef
 {
-    std::string name;
+    const std::string &name;
     /** Reported elasticities, as admitted/updated. */
-    linalg::Vector elasticities;
-    /** Re-scaled to unit sum (Eq. 12). */
-    linalg::Vector rescaled;
-    /** gain(pool) * rescaled — the values the ExactSums hold. */
-    linalg::Vector effective;
-    std::uint64_t admittedEpoch = 0;
+    std::span<const double> elasticities;
     /** Global admission sequence number (dense-allocation order). */
-    std::uint64_t seq = 0;
-    /** Node id of the owning pool. */
-    std::uint32_t pool = 0;
-    /** Cohort label and its members; null when unlabelled. */
-    const CohortMap::value_type *cohort = nullptr;
+    std::uint64_t seq;
+    /** Node id of the owning pool (PoolTree::poolPath). */
+    std::uint32_t pool;
+    std::uint64_t admittedEpoch;
 };
 
 /**
@@ -152,9 +161,8 @@ class PoolTree
   public:
     explicit PoolTree(core::SystemCapacity capacity);
 
-    // The admission-order index points into the agent map, and each
-    // agent at its cohort's entry: map nodes survive a move but not a
-    // copy.
+    // Each slot points at its name's map node and at its cohort's
+    // entry: map nodes survive a move but not a copy.
     PoolTree(const PoolTree &) = delete;
     PoolTree &operator=(const PoolTree &) = delete;
     PoolTree(PoolTree &&) = default;
@@ -210,17 +218,27 @@ class PoolTree
     /** True while some live agent carries a cohort label. */
     bool hasCohorts() const { return !cohorts_.empty(); }
 
-    std::size_t size() const { return agents_.size(); }
-    bool empty() const { return agents_.empty(); }
+    std::size_t size() const { return slotOf_.size(); }
+    bool empty() const { return slotOf_.empty(); }
     bool contains(const std::string &name) const;
 
     /** Live agent @p name. Throws when unknown. */
-    const PooledAgent &agent(const std::string &name) const;
+    AgentRef agent(const std::string &name) const;
+
+    /** Call @p visit(AgentRef) for every live agent, ascending seq.
+     *  O(N). */
+    template <typename Visit>
+    void forEachAgent(Visit &&visit) const
+    {
+        for (std::uint32_t slot = 0; slot < names_.size(); ++slot)
+            if (names_[slot] != nullptr)
+                visit(agentAt(slot));
+    }
 
     /** Owning pool path of @p name. Throws when unknown. */
     const std::string &poolOf(const std::string &name) const;
 
-    /** Path of the pool with node id @p node (PooledAgent::pool). */
+    /** Path of the pool with node id @p node (AgentRef::pool). */
     const std::string &poolPath(std::uint32_t node) const
     {
         return nodes_[node].path;
@@ -272,9 +290,6 @@ class PoolTree
     /** All pools in creation order (root first). */
     std::vector<PoolView> pools() const;
 
-    /** Live agents sorted by admission sequence. O(N). */
-    std::vector<const PooledAgent *> denseOrder() const;
-
     /**
      * Dense N x R allocation over all live agents in admission
      * order. Small-population and test use. @pre !empty().
@@ -323,24 +338,52 @@ class PoolTree
         std::uint64_t createdEpoch = 0;
         std::uint64_t agentsInSubtree = 0;
         std::uint64_t directAgents = 0;
-        /** Per-resource exact sums of every descendant's effective. */
-        std::vector<ExactSum> subtree;
     };
+
+    using NameMap = std::unordered_map<std::string, std::uint32_t>;
 
     void validateAgent(const std::string &name,
                        const linalg::Vector &elasticities) const;
     static void validatePath(const std::string &path);
     /** Node id for @p path; throws when the pool does not exist. */
     std::uint32_t resolve(const std::string &path) const;
-    PooledAgent &entryOf(const std::string &name);
-    /** Drop @p agent from its cohort, erasing an emptied label. */
-    void leaveCohort(PooledAgent &agent);
+    /** Slot of live agent @p name; throws when unknown. */
+    std::uint32_t slotOf(const std::string &name) const;
+    AgentRef agentAt(std::uint32_t slot) const;
+    /** Node @p node's subtree sums, one ExactSum per resource. */
+    ExactSum *subtree(std::uint32_t node)
+    {
+        return &subtree_[node * capacity_.count()];
+    }
+    const ExactSum *subtree(std::uint32_t node) const
+    {
+        return &subtree_[node * capacity_.count()];
+    }
+    const double *reportedAt(std::uint32_t slot) const
+    {
+        return &reported_[slot * capacity_.count()];
+    }
+    double *effectiveAt(std::uint32_t slot)
+    {
+        return &effective_[slot * capacity_.count()];
+    }
+    const double *effectiveAt(std::uint32_t slot) const
+    {
+        return &effective_[slot * capacity_.count()];
+    }
+    /** gain(@p pool) * normalizeToUnitSum(@p reported) into
+     *  scratch_; throws (changing nothing) when it cannot normalize. */
+    void rescale(const double *reported, std::uint32_t pool);
+    /** Drop slot @p slot's cohort label, erasing an emptied label. */
+    void leaveCohort(std::uint32_t slot);
     /** Add (+1) or take away (-1) one agent resident in @p pool: its
      *  @p effective claims and its head count, along root..pool. */
-    void applyAlongPath(std::uint32_t pool,
-                        const linalg::Vector &effective, int direction);
-    linalg::Vector effectiveFor(const linalg::Vector &rescaled,
-                                std::uint32_t pool) const;
+    void applyAlongPath(std::uint32_t pool, const double *effective,
+                        int direction);
+    /** Make room for more slots in every slot array. */
+    void growSlots();
+    /** Close every hole, keeping the live slots in seq order. */
+    void compact();
     /** The root denominators D[r], each checked positive; throws
      *  FatalError while the tree is empty. */
     std::vector<double> denominators() const;
@@ -355,18 +398,37 @@ class PoolTree
 
     core::SystemCapacity capacity_;
     std::vector<Node> nodes_;  //!< Creation order; nodes_[0] is "/".
+    /** Per node, its resources' subtree sums: node-major. */
+    std::vector<ExactSum> subtree_;
     std::unordered_map<std::string, std::uint32_t> nodeIndex_;
-    std::unordered_map<std::string, PooledAgent> agents_;
+    /** Live agent name -> slot. Each name is stored only here. */
+    NameMap slotOf_;
+
+    /** @name Slots, ascending seq: one entry (or R, row-major) each.
+     *
+     * A slot names its agent by pointing at the agent's map node,
+     * which rehashing and the tree's move leave in place; compaction
+     * re-points the node at the slot's new index. A hole has a null
+     * name.
+     */
+    ///@{
+    std::vector<NameMap::value_type *> names_;
+    std::vector<std::uint64_t> seqs_;
+    std::vector<std::uint64_t> admittedEpochs_;
+    std::vector<std::uint32_t> pools_;
+    std::vector<double> reported_;
+    /** gain(pool) * rescaled — the values the ExactSums hold. */
+    std::vector<double> effective_;
+    /** Each slot's cohort label and its members (null when
+     *  unlabelled); empty until the first label. */
+    std::vector<const CohortMap::value_type *> cohortOf_;
+    ///@}
+    std::size_t holes_ = 0;
+
     /** Labels some live agent carries; see setCohort. */
     CohortMap cohorts_;
-    /**
-     * Every agent's (seq, entry) in ascending seq, so the dense walk
-     * reads one contiguous array instead of chasing map nodes. A
-     * departed agent leaves a null entry until the holes outnumber
-     * the live agents, when they are compacted away.
-     */
-    std::vector<std::pair<std::uint64_t, const PooledAgent *>> order_;
-    std::size_t holes_ = 0;
+    /** rescale()'s output, R values. */
+    std::vector<double> scratch_;
     std::size_t maxDepth_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t churnEvents_ = 0;

@@ -643,14 +643,16 @@ AllocationService::captureStateLocked() const
     // Persist agents in admission (seq) order so re-admission
     // reproduces the dense-allocation order bit for bit. Flat
     // services persist no pool paths.
-    const std::vector<const pool::PooledAgent *> order =
-        tree_.denseOrder();
-    state.agents.reserve(order.size());
-    for (const pool::PooledAgent *agent : order)
+    state.agents.reserve(tree_.size());
+    tree_.forEachAgent([&](const pool::AgentRef &agent) {
         state.agents.push_back(PersistedAgent{
-            agent->name, agent->elasticities, agent->admittedEpoch,
-            config_.pooled ? tree_.poolPath(agent->pool)
+            agent.name,
+            linalg::Vector(agent.elasticities.begin(),
+                           agent.elasticities.end()),
+            agent.admittedEpoch,
+            config_.pooled ? tree_.poolPath(agent.pool)
                            : std::string()});
+    });
     state.churnEvents = tree_.churnEvents();
     state.epoch = driver_.epoch();
     state.lastEnforcedEpoch = driver_.lastEnforcedEpoch();

@@ -29,6 +29,14 @@ sum(const std::vector<double> &values)
 std::vector<double>
 normalizeToUnitSum(const std::vector<double> &values)
 {
+    std::vector<double> normalized(values.size());
+    normalizeToUnitSum(values, normalized.data());
+    return normalized;
+}
+
+void
+normalizeToUnitSum(std::span<const double> values, double *out)
+{
     REF_REQUIRE(!values.empty(), "cannot normalize an empty vector");
     double total = 0;
     for (double value : values) {
@@ -41,10 +49,8 @@ normalizeToUnitSum(const std::vector<double> &values)
     REF_REQUIRE(total > 0 && std::isfinite(total),
                 "cannot normalize an all-zero vector");
 
-    std::vector<double> normalized(values.size());
     for (std::size_t i = 0; i < values.size(); ++i)
-        normalized[i] = values[i] / total;
-    return normalized;
+        out[i] = values[i] / total;
 }
 
 std::size_t

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace ref {
@@ -38,6 +39,9 @@ double sum(const std::vector<double> &values);
  * @pre values must be non-negative with a positive sum.
  */
 std::vector<double> normalizeToUnitSum(const std::vector<double> &values);
+
+/** The same into @p out (values.size() entries), allocating nothing. */
+void normalizeToUnitSum(std::span<const double> values, double *out);
 
 /** Round up to the next power of two; 0 maps to 1. */
 std::size_t nextPowerOfTwo(std::size_t value);

@@ -357,10 +357,10 @@ TEST(PoolTree, ChurnIsBitIdenticalToFlatSolve)
 
 TEST(PoolTree, ShardCountNeverChangesTheAllocation)
 {
-    // The tree keeps its agents in one map, so no shard count is left
-    // to vary; what shard independence guaranteed still holds: the
-    // store's layout — its churn history, its hash-map arrangement,
-    // the order its ExactSums saw the claims in — is unobservable. A
+    // The tree keeps its agents in one slot array, so no shard count
+    // is left to vary; what shard independence guaranteed still
+    // holds: the store's layout — its churn history, its holes, the
+    // order its ExactSums saw the claims in — is unobservable. A
     // fresh tree given only the survivors, in admission order,
     // allocates bit for bit the same.
     for (const std::uint32_t seed : {11u, 23u}) {
@@ -370,9 +370,12 @@ TEST(PoolTree, ShardCountNeverChangesTheAllocation)
         PoolTree fresh(capacity());
         for (const std::string &path : kChurnPools)
             fresh.createPool(path, 1.0);
-        for (const pool::PooledAgent *agent : churned.denseOrder())
-            fresh.admit(agent->name, agent->elasticities,
-                        churned.poolPath(agent->pool));
+        churned.forEachAgent([&](const pool::AgentRef &agent) {
+            fresh.admit(agent.name,
+                        linalg::Vector(agent.elasticities.begin(),
+                                       agent.elasticities.end()),
+                        churned.poolPath(agent.pool));
+        });
         ASSERT_TRUE(fresh.selfCheck());
 
         for (std::size_t r = 0; r < capacity().count(); ++r)

@@ -139,7 +139,7 @@ expectRowsMatchTree(const PoolTree &tree, const pool::DenseRows &rows,
     const std::size_t resources = tree.capacity().count();
     ASSERT_EQ(rows.elasticities.size(), live.size() * resources);
     for (std::size_t i = 0; i < live.size(); ++i) {
-        const pool::PooledAgent &agent = tree.agent(live[i]);
+        const pool::AgentRef agent = tree.agent(live[i]);
         EXPECT_EQ(rows.seqs[i], agent.seq) << live[i];
         if (i > 0) {
             EXPECT_LT(rows.seqs[i - 1], rows.seqs[i]);
