@@ -34,6 +34,20 @@ using namespace ref;
  * agent would buy at uniform per-capacity prices — its re-scaled
  * elasticities applied to the capacities.
  */
+/** Agent @p i's two-resource bundle as "(x0, x1)". */
+std::string
+bundleText(const core::Allocation &allocation, std::size_t i)
+{
+    // Appended, not "(" + ...: GCC 12's -Wrestrict misfires on a
+    // one-character literal plus a string at -O3.
+    std::string text(1, '(');
+    text += formatFixed(allocation.at(i, 0), 2);
+    text += ", ";
+    text += formatFixed(allocation.at(i, 1), 2);
+    text += ')';
+    return text;
+}
+
 core::LeontiefUtility
 demandVectorFor(const core::CobbDouglasUtility &utility,
                 const core::SystemCapacity &capacity)
@@ -75,10 +89,7 @@ printComparison()
     for (std::size_t i = 0; i < agents.size(); ++i) {
         table.addRow(
             {agents[i].name(),
-             "(" + formatFixed(drf.allocation.at(i, 0), 2) + ", " +
-                 formatFixed(drf.allocation.at(i, 1), 2) + ")",
-             "(" + formatFixed(ref_alloc.at(i, 0), 2) + ", " +
-                 formatFixed(ref_alloc.at(i, 1), 2) + ")",
+             bundleText(drf.allocation, i), bundleText(ref_alloc, i),
              formatFixed(core::weightedUtility(
                              agents[i], drf.allocation.agentShare(i),
                              capacity),

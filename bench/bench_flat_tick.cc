@@ -113,10 +113,14 @@ main(int argc, char **argv)
                                       population.elasticities());
         for (std::size_t k = 0; population.cohorts > 0 &&
                                 k < population.agents;
-             ++k)
-            population.service->setCohort(
-                population.name(k),
-                "c" + std::to_string(k % population.cohorts));
+             ++k) {
+            // Appended, not "c" + std::to_string(...): GCC 12's
+            // -Wrestrict misfires on a one-character literal plus a
+            // string at -O3.
+            std::string cohort(1, 'c');
+            cohort += std::to_string(k % population.cohorts);
+            population.service->setCohort(population.name(k), cohort);
+        }
         population.service->tick();
         population.tickNs.reserve(kTicks);
     }

@@ -52,8 +52,13 @@ writeProfileCsv(std::ostream &os, const PerformanceProfile &profile)
     const std::size_t resources = profile.front().allocation.size();
 
     std::vector<std::string> header;
-    for (std::size_t r = 0; r < resources; ++r)
-        header.push_back("x" + std::to_string(r));
+    for (std::size_t r = 0; r < resources; ++r) {
+        // Appended, not "x" + ...: GCC 12's -Wrestrict misfires on a
+        // one-character literal plus a string at -O3.
+        std::string column(1, 'x');
+        column += std::to_string(r);
+        header.push_back(std::move(column));
+    }
     header.push_back("performance");
 
     CsvWriter csv(os, header);

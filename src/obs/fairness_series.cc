@@ -25,9 +25,14 @@ formatDouble(double value)
 std::string
 formatJsonDouble(double value)
 {
-    if (std::isnan(value) || std::isinf(value))
-        return "\"" + formatDouble(value) + "\"";
-    return formatDouble(value);
+    if (!std::isnan(value) && !std::isinf(value))
+        return formatDouble(value);
+    // Appended, not "\"" + ...: GCC 12's -Wrestrict misfires on a
+    // one-character literal plus a string at -O3.
+    std::string quoted(1, '"');
+    quoted += formatDouble(value);
+    quoted += '"';
+    return quoted;
 }
 
 } // namespace

@@ -41,9 +41,14 @@ formatNumber(double value)
 std::string
 formatJsonNumber(double value)
 {
-    if (std::isnan(value) || std::isinf(value))
-        return "\"" + formatNumber(value) + "\"";
-    return formatNumber(value);
+    if (!std::isnan(value) && !std::isinf(value))
+        return formatNumber(value);
+    // Appended, not "\"" + ...: GCC 12's -Wrestrict misfires on a
+    // one-character literal plus a string at -O3.
+    std::string quoted(1, '"');
+    quoted += formatNumber(value);
+    quoted += '"';
+    return quoted;
 }
 
 bool
