@@ -20,7 +20,8 @@
 # After the loop (only when BENCH_DIR is given):
 #   a. Journal append throughput A/B over the socket, fsync-every-1
 #      vs group commit, via ref_bomb.
-#   b. A mid-churn kill -9 with ref_bomb --failover-to riding the
+#   b. A mid-churn kill -9 (once the primary has served a set number
+#      of commands) with ref_bomb --failover-to riding the
 #      outage; its measured gap plus the per-iteration first-TICK
 #      times and the primary's ship-lag percentiles land in
 #      BENCH_replication.json (export_bench_timings.py schema).
@@ -256,12 +257,31 @@ PIDS+=("$STANDBY")
 SPORT=$(wait_port "$WORKDIR/standby.err") ||
     fail "bench standby never listened"
 
+# The primary dies once it has served KILL_AFTER commands, not after
+# a fixed sleep: on a fast host a sleep can outlast the whole run,
+# leaving no connection to fail over. With 2 x BOMB_OPS ops in all,
+# each connection is at most a few percent into its run at the kill.
+BOMB_OPS=20000
+KILL_AFTER=1000
 "$REF_BOMB" --connect "127.0.0.1:$PPORT" \
-    --failover-to "127.0.0.1:$SPORT" --connections 2 --ops 1500 \
-    --name repl_midchurn_failover > "$WORKDIR/bomb.json" \
-    2> "$WORKDIR/bomb.err" &
+    --failover-to "127.0.0.1:$SPORT" --connections 2 \
+    --ops "$BOMB_OPS" --name repl_midchurn_failover \
+    > "$WORKDIR/bomb.json" 2> "$WORKDIR/bomb.err" &
 BOMB=$!
-sleep 0.4
+SERVED=0
+for _ in $(seq 1 500); do
+    SERVED=$(client "$PPORT" "METRICS prom" 2>/dev/null | awk '
+        /^ref_(admits|updates|departs|queries|epochs)_total / {
+            served += $2 }
+        END { print served + 0 }')
+    [ "$SERVED" -ge "$KILL_AFTER" ] && break
+    kill -0 "$BOMB" 2>/dev/null || break
+    sleep 0.02
+done
+kill -0 "$BOMB" 2>/dev/null ||
+    fail "ref_bomb finished before the primary was killed"
+[ "$SERVED" -ge "$KILL_AFTER" ] ||
+    fail "bench primary served $SERVED commands, never $KILL_AFTER"
 # Ship-lag percentiles while records are actually flowing.
 client "$PPORT" "METRICS prom" > "$WORKDIR/primary_metrics.prom" ||
     fail "primary metrics scrape failed"
