@@ -284,7 +284,10 @@ PoolTree::depart(const std::string &name)
     leaveCohort(slot);
     names_[slot] = nullptr;
     slotOf_.erase(found);
-    if (++holes_ > slotOf_.size())
+    // Holes stay under a quarter of the live agents: at most
+    // 1.25 x size() + 1 slots, and a compaction (O(slots)) comes at
+    // least size() / 4 departures after the last one.
+    if (4 * ++holes_ > slotOf_.size())
         compact();
     ++churnEvents_;
 }

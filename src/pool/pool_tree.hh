@@ -41,10 +41,11 @@
  * effective claims the ExactSums hold. The re-scaled values (Eq. 12)
  * are not stored: normalizeToUnitSum of the reported values is
  * deterministic, so a re-assign recomputes them bit for bit. A
- * departed agent's slot is a hole (null name) until the holes
- * outnumber the live agents; compaction then closes them in one pass,
- * so there are never more than 2 x size() slots and each departure
- * pays O(1) amortised.
+ * departed agent's slot is a hole (null name) until the holes exceed
+ * a quarter of the live agents; compaction then closes them in one
+ * pass, so there are never more than 1.25 x size() + 1 slots and
+ * each departure pays O(1) amortised (at most about five slot
+ * copies).
  *
  * A flat service may also label agents with a cohort. The label is
  * telemetry only: it lives in the agent's slot, leaves with the

@@ -414,7 +414,8 @@ TEST(PoolTree, DenseOrderIsAdmissionOrderAcrossReadmission)
     // admissions, keep the survivors in admission order.
     std::vector<std::string> expected = names;
     for (int i = 0; i < 12; ++i) {
-        const std::string name = "n" + std::to_string(i);
+        std::string name(1, 'n');
+        name += std::to_string(i);
         tree.admit(name, {0.5, 0.5});
         expected.push_back(name);
         if (i % 3 != 2) {
@@ -487,9 +488,9 @@ TEST(PoolTree, PoolViewsTrackSubtreeAndDirectCounts)
 /**
  * A churn that walks the agent store across its compaction boundary:
  * the tree plus everything it must hold, checked after every step.
- * Departed agents leave holes in the admission-order index until
- * they outnumber the live agents; the checks below must hold on
- * either side of that point and through it.
+ * Departed agents leave holes in the admission-order index until a
+ * compaction closes them; the checks below must hold on either side
+ * of each compaction and through it.
  */
 class BoundaryChurn
 {
@@ -658,10 +659,9 @@ class BoundaryChurn
 
 /**
  * Admit a population, depart from the front, back and middle until
- * well past the point where holes outnumber the live agents, then keep
- * admitting, updating, assigning and labelling, and cross the
- * boundary a second time — checking everything after every step and
- * across two moves of the tree.
+ * most of it is gone, then keep admitting, updating, assigning and
+ * labelling, and depart through the boundary again — checking
+ * everything after every step and across two moves of the tree.
  */
 void
 churnAcrossCompaction(bool pooled)

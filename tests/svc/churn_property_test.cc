@@ -307,7 +307,7 @@ TEST(ChurnProperty, WideMagnitudeChurnStaysExact)
 /**
  * The same agents driven through a service across the agent store's
  * compaction boundary (departed agents leave holes in the admission
- * order until they outnumber the live ones), then carried into other
+ * order until a compaction closes them), then carried into other
  * services by snapshot resync (adoptState), which keep churning in
  * lock step with the original.
  */
