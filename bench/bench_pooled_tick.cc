@@ -14,7 +14,10 @@
  * TICK phases a pooled epoch fills (EpochResult::phases: publish,
  * and drift, which is the recorder: per-pool fairness samples and
  * gauges), and writes the BENCH records with a phase_<name>_p50_ns
- * field per phase:
+ * field per phase. Each record also states heap_bytes_per_agent: the
+ * bytes glibc's allocator holds (mallinfo2 uordblks, plus hblkhd for
+ * the blocks it maps on its own, which large arrays get) after the
+ * preload less before it, over the agents preloaded:
  *
  *   bench_pooled_tick [--out BENCH_pooled_tick.json]
  */
@@ -30,6 +33,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <malloc.h>
 
 #include "svc/allocation_service.hh"
 #include "tick_bench.hh"
@@ -61,10 +66,19 @@ constexpr Phase kPhases[] = {
     {"drift", &svc::TickPhases::drift},
 };
 
+/** Bytes the allocator hands out now, mapped blocks included. */
+std::size_t
+heapInUse()
+{
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+}
+
 /** One population under test. */
 struct Population
 {
     Shape shape{};
+    double heapBytesPerAgent = 0;
     std::unique_ptr<svc::AllocationService> service;
     std::mt19937_64 rng;
     std::vector<double> tickNs;
@@ -116,6 +130,7 @@ main(int argc, char **argv)
         }
         std::discrete_distribution<std::size_t> pickPool(zipf.begin(),
                                                          zipf.end());
+        const std::size_t heapBefore = heapInUse();
         for (std::size_t k = 0; k < population.shape.agents; ++k) {
             population.service->admit(population.name(k),
                                       population.elasticities());
@@ -123,6 +138,9 @@ main(int argc, char **argv)
                 population.name(k),
                 Population::tagged('p', pickPool(population.rng)));
         }
+        population.heapBytesPerAgent =
+            static_cast<double>(heapInUse() - heapBefore) /
+            static_cast<double>(population.shape.agents);
         population.service->tick();
         population.tickNs.reserve(kTicks);
     }
@@ -150,8 +168,9 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("%8s %8s %8s %12s %12s %12s", "agents", "pools",
-                "ticks", "mean_us", "p50_us", "p99_us");
+    std::printf("%8s %8s %8s %12s %12s %12s %12s", "agents", "pools",
+                "ticks", "heap_B/agent", "mean_us", "p50_us",
+                "p99_us");
     for (const Phase &phase : kPhases)
         std::printf(" %12s", (std::string(phase.name) + "_us").c_str());
     std::printf("\n");
@@ -167,9 +186,10 @@ main(int argc, char **argv)
             bench::percentile(population.tickNs, 0.50);
         const double p99 =
             bench::percentile(population.tickNs, 0.99);
-        std::printf("%8zu %8zu %8zu %12.2f %12.2f %12.2f",
+        std::printf("%8zu %8zu %8zu %12.1f %12.2f %12.2f %12.2f",
                     population.shape.agents, population.shape.pools,
-                    kTicks, mean / 1e3, p50 / 1e3, p99 / 1e3);
+                    kTicks, population.heapBytesPerAgent, mean / 1e3,
+                    p50 / 1e3, p99 / 1e3);
         std::vector<double> phaseP50(std::size(kPhases));
         for (std::size_t k = 0; k < std::size(kPhases); ++k) {
             phaseP50[k] =
@@ -189,7 +209,9 @@ main(int argc, char **argv)
              << "    \"tick_p50_ns\": "
              << static_cast<std::uint64_t>(p50) << ",\n"
              << "    \"tick_p99_ns\": "
-             << static_cast<std::uint64_t>(p99);
+             << static_cast<std::uint64_t>(p99) << ",\n"
+             << "    \"heap_bytes_per_agent\": "
+             << std::round(population.heapBytesPerAgent * 10) / 10;
         for (std::size_t k = 0; k < std::size(kPhases); ++k)
             json << ",\n    \"phase_" << kPhases[k].name
                  << "_p50_ns\": "

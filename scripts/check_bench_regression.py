@@ -7,7 +7,9 @@ inverse of ``wall_ns`` when absent) falls more than ``--tolerance``
 below the baseline's. Also enforces architecture-level speedup
 claims: ``--min-speedup SLOW:FAST:X`` fails unless the record named
 FAST delivers at least X times the throughput of the record named
-SLOW, both read from the current file.
+SLOW, both read from the current file. ``--max-rise FIELD:X`` holds a
+lower-is-better field (say, ``heap_bytes_per_agent``) to at most X
+above the baseline's value, in every baseline record that has it.
 
 Exit status: 0 clean, 1 on any regression or unmet speedup, 2 on
 malformed inputs. Baselines move with intentional changes: regenerate
@@ -17,6 +19,7 @@ the override label for drive-by regressions).
 Usage:
   check_bench_regression.py --baseline OLD.json --current NEW.json
       [--tolerance 0.25] [--min-speedup slow_name:fast_name:2.0]...
+      [--max-rise field:0.10]...
 """
 
 import argparse
@@ -58,6 +61,10 @@ def main(argv):
                         metavar="SLOW:FAST:X",
                         help="require current[FAST] >= X * "
                              "current[SLOW] in throughput")
+    parser.add_argument("--max-rise", action="append", default=[],
+                        metavar="FIELD:X",
+                        help="require current FIELD <= (1 + X) * "
+                             "baseline FIELD, lower being better")
     args = parser.parse_args(argv)
 
     try:
@@ -106,6 +113,30 @@ def main(argv):
             failures.append(
                 f"'{fast_name}' is only {achieved:.2f}x "
                 f"'{slow_name}' (need {factor:.2f}x)")
+
+    for spec in args.max_rise:
+        try:
+            field, rise_text = spec.rsplit(":", 1)
+            rise = float(rise_text)
+        except ValueError as exc:
+            print(f"error: bad --max-rise '{spec}': {exc}",
+                  file=sys.stderr)
+            return 2
+        for name, old in sorted(baseline.items()):
+            new = current.get(name)
+            if field not in old or new is None:
+                continue
+            if field not in new:
+                failures.append(f"'{name}' lacks '{field}'")
+                continue
+            ceiling = float(old[field]) * (1.0 + rise)
+            verdict = "ok" if new[field] <= ceiling else "REGRESSION"
+            print(f"{name}: {field} baseline {old[field]}, current "
+                  f"{new[field]} (ceiling {ceiling:.6g}) [{verdict}]")
+            if new[field] > ceiling:
+                failures.append(
+                    f"'{name}' {field} rose to {new[field]}, above "
+                    f"{rise:.0%} over the baseline's {old[field]}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -14,9 +14,10 @@ Records produced elsewhere (ref_bomb, bench_socket.sh,
 bench_pool_scale.sh) share the same schema, optionally extended with
 ``ops_per_sec``, ``p50_ns`` / ``p90_ns`` / ``p99_ns`` latency
 quantiles, and — for pooled scale runs — ``agents``, ``pools``, and
-TICK-only ``tick_p50_ns`` / ``tick_p99_ns``, and — for flat TICK
-runs (bench_flat_tick) — the per-phase medians
-``phase_<phase>_p50_ns``; a BENCH file may hold
+TICK-only ``tick_p50_ns`` / ``tick_p99_ns``, and — for the TICK
+harnesses (bench_flat_tick, bench_pooled_tick) — the per-phase
+medians ``phase_<phase>_p50_ns``, and — for bench_pooled_tick — the
+agent store's ``heap_bytes_per_agent``; a BENCH file may hold
 one record or a JSON array of them. Strategy-proofness records
 (ref_adversary, bench_strategy.sh) add ``liars``, ``rounds``,
 ``converged``, the ``gain_ratio`` family, ``utilization_loss`` (may
@@ -72,6 +73,9 @@ _OPTIONAL = {
     "tick_p50_ns": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool) and v >= 0,
     "tick_p99_ns": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool) and v >= 0,
+    # Allocator bytes per preloaded agent (bench_pooled_tick).
+    "heap_bytes_per_agent": lambda v: isinstance(v, (int, float))
     and not isinstance(v, bool) and v >= 0,
     # Flat TICK phase medians (bench_flat_tick, EpochResult::phases).
     **{

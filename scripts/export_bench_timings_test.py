@@ -37,6 +37,13 @@ GOOD_FLAT = {"name": "flat_tick_N1024", "wall_ns": 245000,
              "phase_hysteresis_p50_ns": 19600,
              "phase_publish_p50_ns": 28900,
              "phase_drift_p50_ns": 20000}
+GOOD_POOLED_TICK = {"name": "pooled_tick_N20000_P64",
+                    "wall_ns": 11391, "iterations": 2000,
+                    "agents": 20000, "pools": 64,
+                    "tick_p50_ns": 9455, "tick_p99_ns": 29383,
+                    "heap_bytes_per_agent": 121.4,
+                    "phase_publish_p50_ns": 118,
+                    "phase_drift_p50_ns": 8833}
 GOOD_STRATEGY = {"name": "strategy/n64_k1", "wall_ns": 8,
                  "iterations": 500, "agents": 64, "liars": 1,
                  "rounds": 7, "converged": 1,
@@ -60,8 +67,11 @@ class CheckTest(unittest.TestCase):
         strategy = write(self.dir.name, "BENCH_s.json",
                          GOOD_STRATEGY)
         flat = write(self.dir.name, "BENCH_f.json", GOOD_FLAT)
+        pooled_tick = write(self.dir.name, "BENCH_pt.json",
+                            GOOD_POOLED_TICK)
         self.assertEqual(
-            ebt.check([path, full, pooled, strategy, flat]), [])
+            ebt.check([path, full, pooled, strategy, flat,
+                       pooled_tick]), [])
 
     def test_array_of_records_passes(self):
         path = write(self.dir.name, "BENCH_arr.json",
@@ -98,6 +108,9 @@ class CheckTest(unittest.TestCase):
             {**GOOD_STRATEGY, "honest_si_margin": -1},
             {**GOOD_FLAT, "phase_ef_p50_ns": -1},
             {**GOOD_FLAT, "phase_si_p50_ns": "fast"},
+            {**GOOD_POOLED_TICK, "heap_bytes_per_agent": -1},
+            {**GOOD_POOLED_TICK, "heap_bytes_per_agent": "lean"},
+            {**GOOD_POOLED_TICK, "heap_bytes_per_agent": True},
         ]
         for record in cases:
             path = write(self.dir.name, "BENCH_t.json", record)
