@@ -250,8 +250,7 @@ PoolTree::update(const std::string &name,
     applyAlongPath(pools_[slot], effective, -1);
     applyAlongPath(pools_[slot], scratch_.data(), +1);
     std::copy(elasticities.begin(), elasticities.end(),
-              reported_.begin() +
-                  static_cast<std::ptrdiff_t>(slot * capacity_.count()));
+              reportedAt(slot));
     std::copy(scratch_.begin(), scratch_.end(), effective);
     ++churnEvents_;
 }

@@ -360,6 +360,10 @@ class PoolTree
     {
         return &subtree_[node * capacity_.count()];
     }
+    double *reportedAt(std::uint32_t slot)
+    {
+        return &reported_[slot * capacity_.count()];
+    }
     const double *reportedAt(std::uint32_t slot) const
     {
         return &reported_[slot * capacity_.count()];
@@ -421,7 +425,7 @@ class PoolTree
     /** gain(pool) * rescaled — the values the ExactSums hold. */
     std::vector<double> effective_;
     /** Each slot's cohort label and its members (null when
-     *  unlabelled); empty until the first label. */
+     *  unlabelled); empty while no live agent is labelled. */
     std::vector<const CohortMap::value_type *> cohortOf_;
     ///@}
     std::size_t holes_ = 0;
