@@ -29,11 +29,6 @@ namespace {
 
 using namespace ref;
 
-/**
- * Demand vector for a Cobb-Douglas agent: the resource ratio the
- * agent would buy at uniform per-capacity prices — its re-scaled
- * elasticities applied to the capacities.
- */
 /** Agent @p i's two-resource bundle as "(x0, x1)". */
 std::string
 bundleText(const core::Allocation &allocation, std::size_t i)
@@ -48,6 +43,11 @@ bundleText(const core::Allocation &allocation, std::size_t i)
     return text;
 }
 
+/**
+ * Demand vector for a Cobb-Douglas agent: the resource ratio the
+ * agent would buy at uniform per-capacity prices — its re-scaled
+ * elasticities applied to the capacities.
+ */
 core::LeontiefUtility
 demandVectorFor(const core::CobbDouglasUtility &utility,
                 const core::SystemCapacity &capacity)

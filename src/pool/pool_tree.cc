@@ -275,14 +275,11 @@ PoolTree::assign(const std::string &name, const std::string &poolPath)
 void
 PoolTree::depart(const std::string &name)
 {
-    const auto found = slotOf_.find(name);
-    REF_REQUIRE(found != slotOf_.end(),
-                "agent '" << name << "' is not registered");
-    const std::uint32_t slot = found->second;
+    const std::uint32_t slot = slotOf(name);
     applyAlongPath(pools_[slot], effectiveAt(slot), -1);
     leaveCohort(slot);
     names_[slot] = nullptr;
-    slotOf_.erase(found);
+    slotOf_.erase(name);
     // Holes stay under a quarter of the live agents: at most
     // 1.25 x size() + 1 slots, and a compaction (O(slots)) comes at
     // least size() / 4 departures after the last one.

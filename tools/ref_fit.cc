@@ -145,7 +145,11 @@ main(int argc, char **argv)
         const auto rescaled = fit.utility.rescaled();
         Table table({"resource", "elasticity", "re-scaled"});
         for (std::size_t r = 0; r < fit.utility.resources(); ++r) {
-            table.addRow({"x" + std::to_string(r),
+            // Appended, not "x" + ...: GCC 12's -Wrestrict misfires on
+            // a one-character literal plus a string at -O3.
+            std::string resource(1, 'x');
+            resource += std::to_string(r);
+            table.addRow({std::move(resource),
                           formatFixed(fit.utility.elasticity(r), 5),
                           formatFixed(rescaled.elasticity(r), 5)});
         }
