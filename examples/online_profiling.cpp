@@ -104,11 +104,16 @@ main()
 
         const double gap = std::abs(reported.elasticity(0) -
                                     offline.elasticity(0));
+        // Appended, not "(" + ...: GCC 12's -Wrestrict misfires on a
+        // one-character literal plus a string at -O3.
+        std::string bundle(1, '(');
+        bundle += formatFixed(mine[0], 1);
+        bundle += ", ";
+        bundle += formatFixed(mine[1], 2);
+        bundle += ')';
         table.addRow({std::to_string(epoch),
                       formatFixed(reported.elasticity(0), 3),
-                      formatFixed(reported.elasticity(1), 3),
-                      "(" + formatFixed(mine[0], 1) + ", " +
-                          formatFixed(mine[1], 2) + ")",
+                      formatFixed(reported.elasticity(1), 3), bundle,
                       formatFixed(gap, 3)});
     }
     table.print(std::cout);

@@ -42,10 +42,15 @@ main()
         const core::StrategicAnalysis analysis(agents, capacity);
         const auto best = analysis.bestResponse(0);
         const double gain_percent = (best.gainRatio - 1.0) * 100.0;
+        // Appended, not "(" + ...: GCC 12's -Wrestrict misfires on a
+        // one-character literal plus a string at -O3.
+        std::string report(1, '(');
+        report += formatFixed(best.report[0], 3);
+        report += ", ";
+        report += formatFixed(best.report[1], 3);
+        report += ')';
         table.addRow(
-            {std::to_string(others),
-             "(" + formatFixed(best.report[0], 3) + ", " +
-                 formatFixed(best.report[1], 3) + ")",
+            {std::to_string(others), report,
              formatFixed(gain_percent, 3) + "%",
              gain_percent > 1.0
                  ? "lying pays"

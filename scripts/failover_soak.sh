@@ -18,7 +18,7 @@
 #      to hash equality — zero lag — before the iteration passes.
 #
 # After the loop (only when BENCH_DIR is given):
-#   a. Journal append throughput A/B over the socket, fsync-every-1
+#   a. Journal append throughput A/B over the socket, every:1 fsync
 #      vs group commit, via ref_bomb.
 #   b. A mid-churn kill -9 (once the primary has served a set number
 #      of commands) with ref_bomb --failover-to riding the
@@ -237,7 +237,7 @@ bench_run() {
 }
 
 bench_run "$WORKDIR/bench_every1" repl_journal_every1 \
-    --fsync-every 1 > "$WORKDIR/bench_every1.json"
+    --fsync-policy every:1 > "$WORKDIR/bench_every1.json"
 bench_run "$WORKDIR/bench_group" repl_journal_group \
     --fsync-policy group:1048576,5000 > "$WORKDIR/bench_group.json"
 

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -35,9 +34,14 @@ connectTo(const std::string &spec)
     REF_REQUIRE(fd >= 0, "socket: " << std::strerror(errno));
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    REF_REQUIRE(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                          sizeof(addr)) == 0,
-                "connect " << spec << ": " << std::strerror(errno));
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        // Close before throwing: a caller that retries until a
+        // standby listens must not leak one descriptor per try.
+        const int error = errno;
+        ::close(fd);
+        REF_FATAL("connect " << spec << ": " << std::strerror(error));
+    }
     return fd;
 }
 
@@ -55,54 +59,6 @@ sendAll(int fd, std::string_view bytes)
             REF_FATAL("send: " << std::strerror(errno));
         }
         sent += static_cast<std::size_t>(wrote);
-    }
-}
-
-/** Shortest decimal that round-trips the exact double, so the
- *  server parses back the bits the agent computed. */
-std::string
-formatDouble(double value)
-{
-    char buffer[32];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    REF_ASSERT(ec == std::errc(), "to_chars failed");
-    return std::string(buffer, end);
-}
-
-/** Render a Command as one text-protocol line (no newline). Only
- *  the command shapes the fleet issues are supported. */
-std::string
-textLine(const svc::Command &command)
-{
-    std::string line;
-    switch (command.op) {
-    case svc::Command::Op::Admit:
-    case svc::Command::Op::Update:
-        line = command.op == svc::Command::Op::Admit ? "ADMIT "
-                                                     : "UPDATE ";
-        line += command.name;
-        for (const double value : command.elasticities) {
-            line += ' ';
-            line += formatDouble(value);
-        }
-        return line;
-    case svc::Command::Op::Depart:
-        return "DEPART " + command.name;
-    case svc::Command::Op::Cohort:
-        return "COHORT " + command.name + " " + command.cohortLabel;
-    case svc::Command::Op::Tick:
-        return command.tickCount == 1
-                   ? std::string("TICK")
-                   : "TICK " + std::to_string(command.tickCount);
-    case svc::Command::Op::Query:
-        return command.hasName ? "QUERY " + command.name
-                               : std::string("QUERY");
-    case svc::Command::Op::Metrics:
-        return "METRICS " + command.metricsFormat;
-    default:
-        REF_FATAL("fleet client cannot serialize opcode "
-                  << static_cast<unsigned>(command.op));
     }
 }
 
@@ -157,7 +113,7 @@ void
 ServiceClient::send(const svc::Command &command)
 {
     ++commands_;
-    sendAll(fd_, textLine(command) + "\n");
+    sendAll(fd_, svc::formatCommand(command) + "\n");
 }
 
 std::string

@@ -1,12 +1,12 @@
 /**
  * @file
- * Blocking protocol client for the allocation service's socket
- * front-end — the adversary fleet's transport.
+ * Blocking text-protocol client for the allocation service's socket
+ * front-end: the one client that in-tree tools use to speak the
+ * protocol (the adversary fleet, ref_adversary and ref_bomb).
  *
  * One ServiceClient is one TCP connection speaking text lines.
- * Commands go out as svc::Command rendered to a line; doubles use
- * shortest-round-trip to_chars, so the server parses back the exact
- * bits the agent computed.
+ * Commands go out as svc::formatCommand renders them, so doubles
+ * reach the server as the exact bits the caller computed.
  *
  * A text reply block has no terminator, so roundTrip() serves
  * single-reply-line commands only, and fairnessCsv() handles the
@@ -48,7 +48,9 @@ class ServiceClient
 
     /** @name Split halves of roundTrip, for interleaving commands
      *  ACROSS connections (send on every connection first, then
-     *  collect every reply — the fleet's re-report barrier). */
+     *  collect every reply — the fleet's re-report barrier) or for
+     *  pipelining on one. One thread may send while another reads
+     *  replies; neither half is safe to call from two threads. */
     ///@{
     void send(const svc::Command &command);
     /** One reply line, without its newline. */

@@ -286,10 +286,11 @@ FollowerClient::runSession()
     // SYNC with our resume cursor. streamId 0 (no snapshot yet, or
     // a forced resync) never matches a real stream, so the primary
     // answers with a Snapshot frame.
-    const std::string sync = "SYNC " + std::to_string(streamId_) +
-                             " " + std::to_string(lastApplied_) +
-                             "\n";
-    if (!writeAll(fd, sync)) {
+    svc::Command sync;
+    sync.op = svc::Command::Op::Sync;
+    sync.syncStreamId = streamId_;
+    sync.syncSeq = lastApplied_;
+    if (!writeAll(fd, svc::formatCommand(sync) + "\n")) {
         ::close(fd);
         return SessionEnd::Retry;
     }

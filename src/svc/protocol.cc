@@ -15,11 +15,9 @@
 #include "util/logging.hh"
 
 namespace ref::svc {
-namespace {
 
-/** Shortest decimal that round-trips the exact double. */
 std::string
-formatShare(double value)
+formatDouble(double value)
 {
     char buffer[32];
     const auto [end, ec] = std::to_chars(
@@ -27,6 +25,8 @@ formatShare(double value)
     REF_ASSERT(ec == std::errc(), "to_chars failed");
     return std::string(buffer, end);
 }
+
+namespace {
 
 std::vector<std::string>
 tokenize(const std::string &line)
@@ -115,7 +115,7 @@ printShares(std::ostream &out, const ServiceSnapshot &snapshot,
 {
     out << "SHARE " << snapshot.agents[row];
     for (std::size_t r = 0; r < snapshot.allocation.resources(); ++r)
-        out << " " << formatShare(snapshot.allocation.at(row, r));
+        out << " " << formatDouble(snapshot.allocation.at(row, r));
     out << "\n";
 }
 
@@ -126,13 +126,13 @@ printPool(std::ostream &out, AllocationService &service,
     const linalg::Vector fractions =
         service.poolShareFractions(view.path);
     out << "POOL " << view.path
-        << " weight=" << formatShare(view.weight)
+        << " weight=" << formatDouble(view.weight)
         << " agents=" << view.agents;
     out << " share=";
     for (std::size_t r = 0; r < fractions.size(); ++r) {
         if (r > 0)
             out << ",";
-        out << formatShare(fractions[r]);
+        out << formatDouble(fractions[r]);
     }
     out << "\n";
 }
@@ -150,11 +150,11 @@ printPlan(std::ostream &out, const EnforcementPlan &plan)
         << "\n";
     for (std::size_t i = 0; i < plan.agents.size(); ++i) {
         out << "ENFORCE " << plan.agents[i]
-            << " wfq_weight=" << formatShare(plan.wfqWeights[i]);
+            << " wfq_weight=" << formatDouble(plan.wfqWeights[i]);
         if (plan.hasPartition) {
             out << " ways=" << plan.partition.ways[i]
                 << " realized="
-                << formatShare(plan.partition.realizedFractions[i]);
+                << formatDouble(plan.partition.realizedFractions[i]);
         }
         out << "\n";
     }
@@ -332,6 +332,51 @@ parseCommand(const std::vector<std::string> &tokens)
 
 } // namespace
 
+std::string
+formatCommand(const Command &command)
+{
+    std::string line;
+    switch (command.op) {
+    case Command::Op::Admit:
+    case Command::Op::Update:
+        line = command.op == Command::Op::Admit ? "ADMIT " : "UPDATE ";
+        line += command.name;
+        for (const double value : command.elasticities) {
+            line += ' ';
+            line += formatDouble(value);
+        }
+        return line;
+    case Command::Op::Depart:
+        return "DEPART " + command.name;
+    case Command::Op::Tick:
+        return command.tickCount == 1
+                   ? std::string("TICK")
+                   : "TICK " + std::to_string(command.tickCount);
+    case Command::Op::Query:
+        return command.hasName ? "QUERY " + command.name
+                               : std::string("QUERY");
+    case Command::Op::Metrics:
+        return "METRICS " + command.metricsFormat;
+    case Command::Op::Cohort:
+        return "COHORT " + command.name + " " + command.cohortLabel;
+    case Command::Op::Pool:
+        if (command.poolOp == Command::PoolOp::Create)
+            return "POOL CREATE " + command.poolPath + " " +
+                   formatDouble(command.poolWeight);
+        if (command.poolOp == Command::PoolOp::Assign)
+            return "POOL ASSIGN " + command.name + " " +
+                   command.poolPath;
+        break;
+    case Command::Op::Sync:
+        return "SYNC " + std::to_string(command.syncStreamId) + " " +
+               std::to_string(command.syncSeq);
+    default:
+        break;
+    }
+    REF_PANIC("formatCommand cannot render opcode "
+              << static_cast<unsigned>(command.op));
+}
+
 CommandSession::CommandSession(AllocationService &service,
                                const SessionOptions &options)
     : service_(service), options_(options)
@@ -444,7 +489,7 @@ CommandSession::parseLine(const std::string &rawLine,
         ++result_.commands;
         service_.noteRejected();
         ++result_.errors;
-        out << "ERR " << error.what() << "\n";
+        out << "ERR " << error.reason() << "\n";
         return LineStatus::Rejected;
     }
     return LineStatus::Parsed;
@@ -512,7 +557,7 @@ CommandSession::executeCommand(const Command &command,
                         service.agentShares(command.name);
                     out << "SHARE " << command.name;
                     for (std::size_t r = 0; r < shares.size(); ++r)
-                        out << " " << formatShare(shares[r]);
+                        out << " " << formatDouble(shares[r]);
                     out << "\n";
                 } else {
                     const auto views = service.pools();
@@ -618,7 +663,7 @@ CommandSession::executeCommand(const Command &command,
                 service.createPool(command.poolPath,
                                    command.poolWeight);
                 out << "OK pool " << command.poolPath
-                    << " weight=" << formatShare(command.poolWeight)
+                    << " weight=" << formatDouble(command.poolWeight)
                     << " pools=" << service.poolCount() << "\n";
                 break;
             case Command::PoolOp::Assign:
@@ -652,7 +697,7 @@ CommandSession::executeCommand(const Command &command,
     } catch (const FatalError &error) {
         service.noteRejected();
         ++result.errors;
-        out << "ERR " << error.what() << "\n";
+        out << "ERR " << error.reason() << "\n";
         return LineStatus::Rejected;
     }
     return LineStatus::Executed;

@@ -54,7 +54,15 @@
  * Replies: "OK ..." / "EPOCH ..." / "SHARE ..." data lines, or
  * "ERR <reason>" — invalid input never aborts the session (the
  * offending command is rejected, counted, and the stream continues),
- * matching the pool tree's validation contract.
+ * matching the pool tree's validation contract. The reason is the
+ * diagnostic alone, without the source location that a tool's
+ * stderr shows.
+ *
+ * Both directions of the grammar live here: parseLine() reads a
+ * line into a Command and formatCommand() writes one back, so every
+ * in-tree client (adv::ServiceClient, hence ref_bomb and the
+ * adversary fleet, and the follower's SYNC) spells commands the way
+ * the server parses them.
  */
 
 #ifndef REF_SVC_PROTOCOL_HH
@@ -156,6 +164,21 @@ struct Command
      *  resumes at syncSeq + 1 when the ring still covers it. */
     std::uint64_t syncSeq = 0;
 };
+
+/** Shortest decimal that round-trips the exact double. Replies
+ *  print shares and weights with it and clients send elasticities
+ *  with it, so each side parses back the bits the other computed. */
+std::string formatDouble(double value);
+
+/**
+ * The inverse of parsing: @p command as one protocol line, without
+ * its newline. Covers the shapes in-tree clients send: ADMIT,
+ * UPDATE, DEPART, TICK, QUERY [name], COHORT, METRICS, POOL CREATE,
+ * POOL ASSIGN and SYNC. A count-1 TICK renders as "TICK", and POOL
+ * CREATE always carries its weight. Any other op is a caller bug
+ * (PanicError).
+ */
+std::string formatCommand(const Command &command);
 
 /** Protocol-session knobs. */
 struct SessionOptions

@@ -43,7 +43,18 @@ panicImpl(const char *file, int line, const std::string &message)
 void
 fatalImpl(const char *file, int line, const std::string &message)
 {
-    throw FatalError(formatPrefixed("fatal", file, line, message));
+    throw FatalError(formatPrefixed("fatal", file, line, message),
+                     message);
+}
+
+void
+requireImpl(const char *file, int line, const char *condition,
+            const std::string &message)
+{
+    MessageBuilder failed;
+    failed << "requirement '" << condition << "' failed: " << message;
+    throw FatalError(formatPrefixed("fatal", file, line, failed.str()),
+                     message);
 }
 
 void

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ref {
 
@@ -29,13 +30,23 @@ class PanicError : public std::logic_error
     {}
 };
 
-/** Thrown on unrecoverable user errors (bad inputs, bad config). */
+/**
+ * Thrown on unrecoverable user errors (bad inputs, bad config).
+ * what() carries the source location for a tool's stderr; reason()
+ * is the bare message, which is what a protocol client is told.
+ */
 class FatalError : public std::runtime_error
 {
   public:
-    explicit FatalError(const std::string &what_arg)
-        : std::runtime_error(what_arg)
+    FatalError(const std::string &what_arg, std::string reason)
+        : std::runtime_error(what_arg), reason_(std::move(reason))
     {}
+
+    /** The message without location or failed condition. */
+    const std::string &reason() const { return reason_; }
+
+  private:
+    std::string reason_;
 };
 
 /** Verbosity levels for non-terminating messages. */
@@ -56,6 +67,12 @@ namespace detail {
 /** Throw FatalError after formatting a file:line prefix. */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &message);
+
+/** Throw FatalError for a failed REF_REQUIRE: what() names the
+ *  condition, reason() is @p message alone. */
+[[noreturn]] void requireImpl(const char *file, int line,
+                              const char *condition,
+                              const std::string &message);
 
 /** Print a warning to stderr when the log level allows. */
 void warnImpl(const char *file, int line, const std::string &message);
@@ -122,7 +139,8 @@ class MessageBuilder
 #define REF_REQUIRE(cond, msg)                                              \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            REF_FATAL("requirement '" #cond "' failed: " << msg);          \
+            ::ref::detail::requireImpl(__FILE__, __LINE__, #cond,           \
+                (::ref::detail::MessageBuilder() << msg).str());            \
         }                                                                   \
     } while (0)
 

@@ -5,6 +5,7 @@
 #include "core/proportional_elasticity.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -111,7 +112,7 @@ TEST(Ceei, RandomPopulationsAgreeWithRef)
             Vector alphas(r);
             for (auto &a : alphas)
                 a = rng.uniform(0.1, 1.0);
-            agents.emplace_back("a" + std::to_string(i),
+            agents.emplace_back(ref::test::indexedName('a', i),
                                 CobbDouglasUtility(alphas));
         }
         const auto ceei =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/logging.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -37,7 +38,7 @@ TEST(Drf, EqualDemandsSplitEqually)
         SystemCapacity::fromCapacities({10.0, 20.0});
     std::vector<LeontiefAgent> agents;
     for (int i = 0; i < 4; ++i) {
-        agents.emplace_back("t" + std::to_string(i),
+        agents.emplace_back(ref::test::indexedName('t', i),
                             LeontiefUtility({1.0, 2.0}));
     }
     const auto result = allocateDrf(agents, capacity);

@@ -17,6 +17,7 @@
 #include "core/fairness.hh"
 #include "core/proportional_elasticity.hh"
 #include "util/logging.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -61,7 +62,7 @@ randomAgents(std::size_t n, std::size_t resources, std::uint32_t seed,
         Vector alphas(resources);
         for (std::size_t r = 0; r < resources; ++r)
             alphas[r] = std::round(draw(rng) * 1e4) / 1e4;
-        agents.emplace_back("a" + std::to_string(i),
+        agents.emplace_back(ref::test::indexedName('a', i),
                             CobbDouglasUtility(scale, alphas));
     }
     return agents;
@@ -151,7 +152,7 @@ TEST(EnvyFreenessFast, TiesResolveToTheFirstPair)
         const Vector alphas = i % 3 == 0 ? Vector{0.3 * k, 0.6 * k}
                               : i % 3 == 1 ? Vector{0.5, 0.5}
                                            : Vector{0.2 * k, 0.7};
-        agents.emplace_back("d" + std::to_string(i),
+        agents.emplace_back(ref::test::indexedName('d', i),
                             CobbDouglasUtility(alphas));
     }
     expectMatchesOracle(agents, refAllocation(agents, 2));
@@ -202,7 +203,7 @@ TEST(EnvyFreenessFast, RoundingNearTiesKeepTheOraclesPair)
                 alpha0 = 0.1 + static_cast<double>(rng() % 5) * 0.2;
                 alpha1 = 1 - alpha0;
             }
-            agents.emplace_back("a" + std::to_string(i),
+            agents.emplace_back(ref::test::indexedName('a', i),
                                 CobbDouglasUtility({alpha0, alpha1}));
             double amount0 = base0;
             double amount1 = base1;
@@ -249,7 +250,7 @@ TEST(EnvyFreenessFast, MatchesPairwiseAcrossWideMagnitudes)
     std::uniform_real_distribution<double> exponent(-9.0, 9.0);
     AgentList wide;
     for (int i = 0; i < 200; ++i)
-        wide.emplace_back("w" + std::to_string(i),
+        wide.emplace_back(ref::test::indexedName('w', i),
                           CobbDouglasUtility({std::pow(10.0, exponent(rng)),
                                               std::pow(10.0, exponent(rng))}));
     expectMatchesOracle(wide, refAllocation(wide, 2));
@@ -278,7 +279,7 @@ struct RefRows
     {
         AgentList agents;
         for (std::size_t i = 0; i < alphas.size() / 2; ++i) {
-            names.push_back("a" + std::to_string(i));
+            names.push_back(ref::test::indexedName('a', i));
             agents.emplace_back(
                 names.back(),
                 CobbDouglasUtility({alphas[2 * i], alphas[2 * i + 1]}));

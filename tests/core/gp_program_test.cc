@@ -6,6 +6,7 @@
 
 #include "solver/function.hh"
 #include "util/random.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -160,7 +161,7 @@ TEST(GpProgram, AppendFairnessConstraintCounts)
     const auto capacity = SystemCapacity::cacheAndBandwidthExample();
     AgentList agents;
     for (int i = 0; i < 4; ++i) {
-        agents.emplace_back("a" + std::to_string(i),
+        agents.emplace_back(ref::test::indexedName('a', i),
                             CobbDouglasUtility({0.5, 0.5}));
     }
     const gp::ProgramShape shape{4, 2, false};

@@ -19,6 +19,7 @@
 
 #include "core/fairness.hh"
 #include "core/proportional_elasticity.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -53,7 +54,7 @@ seededAgents(std::size_t n, std::size_t resources, std::uint32_t seed)
         for (std::size_t r = 0; r < resources; ++r)
             alphas[r] = i % 7 == 6 ? 2 * last[r]
                                    : std::round(draw(rng) * 1e4) / 1e4;
-        agents.emplace_back("a" + std::to_string(i),
+        agents.emplace_back(ref::test::indexedName('a', i),
                             CobbDouglasUtility(alphas));
         last = alphas;
     }

@@ -19,6 +19,7 @@
 #include "core/fairness.hh"
 #include "core/proportional_elasticity.hh"
 #include "util/logging.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -121,7 +122,7 @@ randomAgents(std::size_t n, std::size_t resources, std::uint32_t seed,
         Vector alphas(resources);
         for (std::size_t r = 0; r < resources; ++r)
             alphas[r] = std::round(draw(rng) * 1e4) / 1e4;
-        agents.emplace_back("a" + std::to_string(i),
+        agents.emplace_back(ref::test::indexedName('a', i),
                             CobbDouglasUtility(scale, alphas));
     }
     return agents;

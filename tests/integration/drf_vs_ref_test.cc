@@ -12,6 +12,7 @@
 #include "core/proportional_elasticity.hh"
 #include "core/welfare.hh"
 #include "util/random.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -39,9 +40,9 @@ TEST(DrfVsRef, RefNeverLosesThroughputOnRandomPopulations)
         for (std::size_t i = 0; i < n; ++i) {
             const CobbDouglasUtility utility(
                 {rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)});
-            agents.emplace_back("a" + std::to_string(i), utility);
+            agents.emplace_back(ref::test::indexedName('a', i), utility);
             leontief_agents.emplace_back(
-                "a" + std::to_string(i),
+                ref::test::indexedName('a', i),
                 demandVectorFor(utility, capacity));
         }
         const auto drf = allocateDrf(leontief_agents, capacity);
@@ -91,9 +92,9 @@ TEST(DrfVsRef, IdenticalAgentsCoincide)
     std::vector<LeontiefAgent> leontief_agents;
     for (int i = 0; i < 3; ++i) {
         const CobbDouglasUtility utility({0.5, 0.5});
-        agents.emplace_back("t" + std::to_string(i), utility);
+        agents.emplace_back(ref::test::indexedName('t', i), utility);
         leontief_agents.emplace_back(
-            "t" + std::to_string(i),
+            ref::test::indexedName('t', i),
             demandVectorFor(utility, capacity));
     }
     const auto drf = allocateDrf(leontief_agents, capacity);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "test_names.hh"
 
 namespace {
 
@@ -171,7 +172,7 @@ TEST(FairnessSeries, LabelCapDropsNewLabelsButNotOldOnes)
 {
     FairnessSeries series(2);
     for (std::size_t i = 0; i < FairnessSeries::kMaxLabels + 6; ++i)
-        series.appendLabelled("p" + std::to_string(i), sampleAt(1));
+        series.appendLabelled(test::indexedName('p', i), sampleAt(1));
 
     EXPECT_EQ(series.labels().size(), FairnessSeries::kMaxLabels);
     EXPECT_EQ(series.droppedLabelled(), 6u);
@@ -180,7 +181,7 @@ TEST(FairnessSeries, LabelCapDropsNewLabelsButNotOldOnes)
     EXPECT_EQ(series.labelledSamples("p0").size(), 2u);
     // ...while appends past the cap stay dropped.
     const std::string over =
-        "p" + std::to_string(FairnessSeries::kMaxLabels);
+        test::indexedName('p', FairnessSeries::kMaxLabels);
     series.appendLabelled(over, sampleAt(2));
     EXPECT_TRUE(series.labelledSamples(over).empty());
     EXPECT_EQ(series.droppedLabelled(), 7u);
@@ -191,7 +192,7 @@ TEST(FairnessSeries, LabelHandlesKeepTheCapDropAccounting)
     FairnessSeries series(2);
     std::vector<FairnessSeries::LabelledSample> batch;
     for (std::size_t i = 0; i < FairnessSeries::kMaxLabels + 6; ++i)
-        batch.push_back({series.label("p" + std::to_string(i)),
+        batch.push_back({series.label(test::indexedName('p', i)),
                          sampleAt(1)});
     series.appendLabelled(batch);
 
@@ -210,7 +211,7 @@ TEST(FairnessSeries, LabelHandlesKeepTheCapDropAccounting)
     ASSERT_EQ(p0.size(), 2u);
     EXPECT_EQ(p0.back().epoch, 3u);
     const std::string over =
-        "p" + std::to_string(FairnessSeries::kMaxLabels);
+        test::indexedName('p', FairnessSeries::kMaxLabels);
     EXPECT_TRUE(series.labelledSamples(over).empty());
     series.appendLabelled(over, sampleAt(3));
     EXPECT_EQ(series.droppedLabelled(), 13u);

@@ -21,6 +21,7 @@
 
 #include "pool/pool_tree.hh"
 #include "svc/allocation_service.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -31,7 +32,7 @@ constexpr std::size_t kPools = 64;
 std::string
 poolName(std::size_t index)
 {
-    return "p" + std::to_string(index);
+    return test::indexedName('p', index);
 }
 
 TEST(PoolScale, SelfCheckHoldsAtHundredThousandAgents)
@@ -45,7 +46,7 @@ TEST(PoolScale, SelfCheckHoldsAtHundredThousandAgents)
     std::uniform_real_distribution<double> elasticity(0.05, 1.0);
     constexpr std::size_t kAgents = 100000;
     for (std::size_t i = 0; i < kAgents; ++i)
-        tree.admit("a" + std::to_string(i),
+        tree.admit(test::indexedName('a', i),
                    {elasticity(rng), elasticity(rng)},
                    poolName(i % kPools));
     ASSERT_EQ(tree.size(), kAgents);
@@ -53,7 +54,7 @@ TEST(PoolScale, SelfCheckHoldsAtHundredThousandAgents)
     // Shuffle a slice around so the incremental state reflects
     // updates and moves, not just a pristine admit sequence.
     for (std::size_t i = 0; i < 1000; ++i) {
-        const std::string name = "a" + std::to_string(rng() % kAgents);
+        const std::string name = test::indexedName('a', rng() % kAgents);
         if (i % 3 == 0)
             tree.assign(name, poolName(rng() % kPools));
         else
@@ -81,7 +82,7 @@ medianTickNs(std::size_t population)
     std::vector<std::string> names;
     names.reserve(population);
     for (std::size_t i = 0; i < population; ++i) {
-        names.push_back("a" + std::to_string(i));
+        names.push_back(test::indexedName('a', i));
         service.admit(names.back(),
                       {elasticity(rng), elasticity(rng)});
         service.assignPool(names.back(), poolName(i % kPools));

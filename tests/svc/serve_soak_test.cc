@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "svc/protocol.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -46,7 +47,7 @@ generateScript(std::uint32_t seed, std::uint64_t targetChurn,
             const int roll = action(rng);
             if (live.empty() || live.size() < 3 || roll < 4) {
                 const std::string name =
-                    "w" + std::to_string(nextId++);
+                    test::indexedName('w', nextId++);
                 script << "ADMIT " << name << " "
                        << elasticity(rng) << " " << elasticity(rng)
                        << "\n";

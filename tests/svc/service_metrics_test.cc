@@ -10,6 +10,7 @@
 #include "svc/allocation_service.hh"
 #include "svc/epoch_driver.hh"
 #include "svc/snapshot.hh"
+#include "test_names.hh"
 
 namespace {
 
@@ -272,11 +273,11 @@ TEST(PoolGauges, OnlyTheFirstCappedPoolsAreExported)
     svc::AllocationService service(pooledConfig());
     const std::size_t pools = svc::ServiceMetrics::kMaxPoolGauges + 20;
     for (std::size_t p = 1; p < pools; ++p)
-        service.createPool("p" + std::to_string(p), 1.0);
+        service.createPool(test::indexedName('p', p), 1.0);
     service.admit("x", {0.6, 0.4});
     service.assignPool("x", "p1");
     service.tick();
-    service.createPool("p" + std::to_string(pools), 1.0);
+    service.createPool(test::indexedName('p', pools), 1.0);
     service.tick();
 
     std::size_t agentSeries = 0;
@@ -287,9 +288,9 @@ TEST(PoolGauges, OnlyTheFirstCappedPoolsAreExported)
     EXPECT_EQ(series.at("ref_pools"), static_cast<double>(pools + 1));
     // Creation order: the root, then p1 .. p255.
     const std::string last =
-        "p" + std::to_string(svc::ServiceMetrics::kMaxPoolGauges - 1);
+        test::indexedName('p', svc::ServiceMetrics::kMaxPoolGauges - 1);
     const std::string first =
-        "p" + std::to_string(svc::ServiceMetrics::kMaxPoolGauges);
+        test::indexedName('p', svc::ServiceMetrics::kMaxPoolGauges);
     EXPECT_EQ(series.count("ref_pool_agents{pool=\"" + last + "\"}"),
               1u);
     EXPECT_EQ(series.count("ref_pool_agents{pool=\"" + first + "\"}"),
@@ -316,7 +317,7 @@ TEST(PoolGauges, FollowAnAdoptedTreeByPathNotCreationIndex)
     primary.createPool("c/d", 4.0);
     const char *homes[] = {"b", "c", "a", "c/d", "b"};
     for (int k = 0; k < 5; ++k) {
-        const std::string name = "g" + std::to_string(k);
+        const std::string name = test::indexedName('g', k);
         primary.admit(name, {0.1 + 0.15 * k, 0.9 - 0.15 * k});
         primary.assignPool(name, homes[k]);
     }

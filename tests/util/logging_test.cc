@@ -27,6 +27,26 @@ TEST(Logging, FatalMessageCarriesFileAndText)
         EXPECT_NE(what.find("user gave 3 arguments"), std::string::npos);
         EXPECT_NE(what.find("logging_test.cc"), std::string::npos);
         EXPECT_NE(what.find("fatal"), std::string::npos);
+        EXPECT_EQ(error.reason(), "user gave 3 arguments");
+    }
+}
+
+TEST(Logging, RequireKeepsTheReasonApartFromTheLocation)
+{
+    try {
+        REF_REQUIRE(1 + 1 == 3, "arithmetic is " << "broken");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &error) {
+        EXPECT_EQ(error.reason(), "arithmetic is broken");
+        // The file is named from the tree's root, so two checkouts of
+        // the same code print alike.
+        const std::string what = error.what();
+        EXPECT_EQ(what.rfind("fatal: tests/util/logging_test.cc:", 0), 0u)
+            << what;
+        EXPECT_NE(what.find("requirement '1 + 1 == 3' failed: "
+                            "arithmetic is broken"),
+                  std::string::npos)
+            << what;
     }
 }
 

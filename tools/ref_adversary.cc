@@ -35,7 +35,6 @@
  *                 [--tag STR]
  */
 
-#include <charconv>
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -43,11 +42,13 @@
 #include <vector>
 
 #include "adv/fleet.hh"
+#include "svc/protocol.hh"
 #include "util/logging.hh"
 
 namespace {
 
 using namespace ref;
+using svc::formatDouble;
 
 struct CliOptions
 {
@@ -169,18 +170,6 @@ parseArgs(int argc, char **argv)
     if (options.connect.empty())
         usage(argv[0], "--connect is required");
     return options;
-}
-
-/** Shortest decimal that round-trips the exact double: the record
- *  is byte-stable because the measurement is. */
-std::string
-formatDouble(double value)
-{
-    char buffer[32];
-    const auto [end, ec] =
-        std::to_chars(buffer, buffer + sizeof(buffer), value);
-    REF_ASSERT(ec == std::errc(), "to_chars failed");
-    return std::string(buffer, end);
 }
 
 void

@@ -38,9 +38,13 @@
  * (seed, c) — agent names are connection-local ("b<c>_<k>") so runs
  * against a fresh server visit the same states regardless of how the
  * kernel interleaves connections. The mix weights choose between
- * ADMIT : UPDATE : DEPART : TICK 1 : QUERY <name>, all single-reply
+ * ADMIT : UPDATE : DEPART : TICK : QUERY <name>, all single-reply
  * commands, so closed-loop accounting is exact: one request unit in,
  * one reply line out.
+ *
+ * Each connection is one adv::ServiceClient, so commands reach the
+ * server as svc::formatCommand spells them, doubles bit for bit as
+ * drawn.
  *
  * Closed loop (--mode closed): each connection keeps --window
  * requests outstanding and sends the next only after a reply, so
@@ -57,22 +61,16 @@
  * process (scripts/bench_socket.sh does exactly that).
  */
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <iostream>
 #include <latch>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -80,6 +78,7 @@
 #include <thread>
 #include <vector>
 
+#include "adv/socket_client.hh"
 #include "svc/protocol.hh"
 #include "util/logging.hh"
 
@@ -295,98 +294,16 @@ parseArgs(int argc, char **argv)
     return options;
 }
 
-/** Blocking TCP connect to "addr:port". */
-int
-connectTo(const std::string &spec)
-{
-    const std::size_t colon = spec.rfind(':');
-    REF_REQUIRE(colon != std::string::npos && colon > 0,
-                "--connect wants addr:port, got '" << spec << "'");
-    const std::string host = spec.substr(0, colon);
-    const int port = std::stoi(spec.substr(colon + 1));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    REF_REQUIRE(::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) ==
-                    1,
-                "--connect wants a numeric IPv4 address, got '"
-                    << host << "'");
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    REF_REQUIRE(fd >= 0, "socket: " << std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    REF_REQUIRE(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                          sizeof(addr)) == 0,
-                "connect " << spec << ": " << std::strerror(errno));
-    return fd;
-}
-
-void
-sendAll(int fd, std::string_view bytes)
-{
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t wrote =
-            ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                   MSG_NOSIGNAL);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            REF_FATAL("send: " << std::strerror(errno));
-        }
-        sent += static_cast<std::size_t>(wrote);
-    }
-}
-
-/** Buffered reply reader: one unit = one line. */
-struct ReplyStream
-{
-    int fd = -1;
-    std::string buffer;
-    std::size_t offset = 0;  //!< Consumed prefix of buffer.
-
-    bool fill()
-    {
-        if (offset > 0 && offset == buffer.size()) {
-            buffer.clear();
-            offset = 0;
-        }
-        char chunk[4096];
-        for (;;) {
-            const ssize_t got = ::read(fd, chunk, sizeof(chunk));
-            if (got < 0 && errno == EINTR)
-                continue;
-            if (got <= 0)
-                return false;  // EOF or error: server went away.
-            buffer.append(chunk, static_cast<std::size_t>(got));
-            return true;
-        }
-    }
-
-    /** Consume one '\n'-terminated line (the newline discarded). */
-    bool readLine(std::string &line)
-    {
-        for (;;) {
-            const std::size_t newline = buffer.find('\n', offset);
-            if (newline != std::string::npos) {
-                line.assign(buffer, offset, newline - offset);
-                offset = newline + 1;
-                return true;
-            }
-            if (!fill())
-                return false;
-        }
-    }
-};
-
 /** Deterministic per-connection command stream. */
 class CommandStream
 {
   public:
     CommandStream(const CliOptions &options, std::size_t conn)
-        : options_(options), conn_(conn),
+        : options_(options), namePrefix_(1, 'b'),
           rng_(options.seed * 1000003ull + conn)
     {
+        namePrefix_ += std::to_string(conn);
+        namePrefix_ += '_';
         std::uint32_t total = 0;
         for (const std::uint32_t weight : options.mix)
             total += weight;
@@ -496,7 +413,6 @@ class CommandStream
         }
         case 3:
             command.op = svc::Command::Op::Tick;
-            command.tickCount = 1;
             break;
         default:
             command.op = svc::Command::Op::Query;
@@ -510,47 +426,6 @@ class CommandStream
     /** Live agents at end of run (preload + surviving churn). */
     std::size_t liveCount() const { return live_.size(); }
 
-    /** The command as a text protocol line (newline included). */
-    static std::string toLine(const svc::Command &command)
-    {
-        std::ostringstream line;
-        switch (command.op) {
-        case svc::Command::Op::Admit:
-        case svc::Command::Op::Update:
-            line << (command.op == svc::Command::Op::Admit
-                         ? "ADMIT "
-                         : "UPDATE ")
-                 << command.name;
-            for (const double e : command.elasticities)
-                line << " " << e;
-            break;
-        case svc::Command::Op::Depart:
-            line << "DEPART " << command.name;
-            break;
-        case svc::Command::Op::Tick:
-            line << "TICK " << command.tickCount;
-            break;
-        case svc::Command::Op::Query:
-            line << "QUERY " << command.name;
-            break;
-        case svc::Command::Op::Pool:
-            line << "POOL ";
-            if (command.poolOp == svc::Command::PoolOp::Create)
-                line << "CREATE " << command.poolPath << " "
-                     << command.poolWeight;
-            else if (command.poolOp == svc::Command::PoolOp::Assign)
-                line << "ASSIGN " << command.name << " "
-                     << command.poolPath;
-            else
-                REF_FATAL("unsupported load-mix pool sub-op");
-            break;
-        default:
-            REF_FATAL("unsupported load-mix op");
-        }
-        line << "\n";
-        return line.str();
-    }
-
   private:
     double elasticity()
     {
@@ -560,7 +435,11 @@ class CommandStream
 
     static std::string poolName(std::size_t index)
     {
-        return "p" + std::to_string(index);
+        // Appended, not "p" + ...: GCC 12's -Wrestrict misfires on a
+        // one-character literal plus a string at -O3.
+        std::string name(1, 'p');
+        name += std::to_string(index);
+        return name;
     }
 
     /** Seeded pool pick: uniform, or Zipf(1) via CDF bisection. */
@@ -581,8 +460,8 @@ class CommandStream
     {
         svc::Command command;
         command.op = svc::Command::Op::Admit;
-        command.name = "b" + std::to_string(conn_) + "_" +
-                       std::to_string(admitted_++);
+        command.name = namePrefix_;
+        command.name += std::to_string(admitted_++);
         command.elasticities = {elasticity(), elasticity()};
         live_.push_back(command.name);
         if (options_.pools > 0) {
@@ -597,7 +476,7 @@ class CommandStream
     }
 
     const CliOptions &options_;
-    std::size_t conn_;
+    std::string namePrefix_;  //!< "b<conn>_": agent names' prefix.
     std::mt19937_64 rng_;
     std::uint32_t weightTotal_ = 1;
     std::uint64_t admitted_ = 0;
@@ -635,7 +514,7 @@ replyIsError(const std::string &unit)
  *  idle server. Any ERR here is a configuration mistake (e.g.
  *  --pools against a flat server), not load noise — fail loudly. */
 void
-runSetup(int fd, ReplyStream &replies, CommandStream &stream,
+runSetup(adv::ServiceClient &client, CommandStream &stream,
          std::latch &allSetUp, ConnResult &result)
 {
     std::vector<svc::Command> setup = stream.setupCommands();
@@ -646,16 +525,12 @@ runSetup(int fd, ReplyStream &replies, CommandStream &stream,
                      std::make_move_iterator(preload.end()));
     }
     constexpr std::size_t kSetupWindow = 64;
-    std::string unit;
     std::size_t sent = 0;
     std::size_t done = 0;
     while (done < setup.size()) {
-        while (sent < setup.size() && sent - done < kSetupWindow) {
-            sendAll(fd, CommandStream::toLine(setup[sent]));
-            ++sent;
-        }
-        REF_REQUIRE(replies.readLine(unit),
-                    "server closed during setup");
+        while (sent < setup.size() && sent - done < kSetupWindow)
+            client.send(setup[sent++]);
+        const std::string unit = client.readReply();
         if (replyIsError(unit))
             REF_FATAL("setup command rejected: " << unit);
         ++done;
@@ -671,16 +546,8 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
 {
     CommandStream stream(options, conn);
     std::string target = options.connect;
-    std::string unit;
-    int fd = -1;
-    ReplyStream replies;
-
-    const auto openSession = [&] {
-        fd = connectTo(target);
-        replies = ReplyStream{fd, {}, 0};
-    };
-    openSession();
-    runSetup(fd, replies, stream, allSetUp, result);
+    auto client = std::make_unique<adv::ServiceClient>(target);
+    runSetup(*client, stream, allSetUp, result);
 
     result.latenciesNs.reserve(options.ops);
     std::deque<std::pair<std::uint64_t, bool>> sentAt;
@@ -696,9 +563,7 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
         if (!options.expectFailover || result.failovers > 0)
             return false;
         ++result.failovers;
-        if (fd >= 0)
-            ::close(fd);
-        fd = -1;
+        client.reset();
         sent -= sentAt.size();
         sentAt.clear();
         if (!options.failoverTo.empty())
@@ -707,12 +572,10 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
         constexpr std::uint64_t kGiveUpNs = 30'000'000'000ull;
         svc::Command probe;
         probe.op = svc::Command::Op::Tick;
-        probe.tickCount = 1;
         while (nowNs() - gapStart < kGiveUpNs) {
             try {
-                openSession();
-                sendAll(fd, CommandStream::toLine(probe));
-                if (replies.readLine(unit) && !replyIsError(unit)) {
+                client = std::make_unique<adv::ServiceClient>(target);
+                if (!replyIsError(client->roundTrip(probe))) {
                     result.failoverGapNs = nowNs() - gapStart;
                     return true;
                 }
@@ -720,34 +583,28 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
                 // Connect refused / reset: the standby is not
                 // serving yet.
             }
-            if (fd >= 0)
-                ::close(fd);
-            fd = -1;
+            client.reset();
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(10));
         }
         return false;
     };
 
+    std::string unit;
     while (done < options.ops) {
         try {
             while (sent < options.ops &&
                    sentAt.size() < options.window) {
                 const svc::Command command = stream.next();
-                const std::string bytes = CommandStream::toLine(command);
                 sentAt.emplace_back(nowNs(),
                                     command.op ==
                                         svc::Command::Op::Tick);
-                sendAll(fd, bytes);
+                client->send(command);
                 ++sent;
             }
-            if (!replies.readLine(unit)) {
-                if (failOver())
-                    continue;
-                result.failed = true;
-                break;
-            }
+            unit = client->readReply();
         } catch (const std::exception &) {
+            // Send failure or EOF: the server went away.
             if (failOver())
                 continue;
             result.failed = true;
@@ -763,31 +620,30 @@ runClosedLoop(const CliOptions &options, std::size_t conn,
         ++done;
     }
     result.liveAtEnd = stream.liveCount();
-    if (fd >= 0)
-        ::close(fd);
 }
 
 void
 runOpenLoop(const CliOptions &options, std::size_t conn,
             std::latch &allSetUp, ConnResult &result)
 {
-    const int fd = connectTo(options.connect);
-    ReplyStream replies{fd, {}, 0};
+    adv::ServiceClient client(options.connect);
     CommandStream stream(options, conn);
-    std::string unit;
-    runSetup(fd, replies, stream, allSetUp, result);
+    runSetup(client, stream, allSetUp, result);
 
     constexpr std::size_t kMaxOutstanding = 4096;
     std::mutex mutex;
     std::condition_variable spaceFreed;
     std::deque<std::pair<std::uint64_t, bool>> sentAt;
-    bool senderDone = false;
+    bool receiverDone = false;  //!< Guarded by mutex.
 
     const double perConnRate =
         options.rate / static_cast<double>(options.connections);
     const std::uint64_t intervalNs = static_cast<std::uint64_t>(
         1e9 / perConnRate);
 
+    // The sender thread only sends and this thread only reads
+    // replies, which ServiceClient allows. A server loss ends both:
+    // a failed send stops the sender and the receiver reads EOF.
     std::thread sender([&] {
         const Clock::time_point start = Clock::now();
         for (std::uint64_t k = 0; k < options.ops; ++k) {
@@ -795,28 +651,35 @@ runOpenLoop(const CliOptions &options, std::size_t conn,
             std::this_thread::sleep_until(
                 start + std::chrono::nanoseconds(k * intervalNs));
             const svc::Command command = stream.next();
-            const std::string bytes = CommandStream::toLine(command);
             {
                 std::unique_lock<std::mutex> lock(mutex);
                 if (sentAt.size() >= kMaxOutstanding) {
                     ++result.stalls;
                     spaceFreed.wait(lock, [&] {
-                        return sentAt.size() < kMaxOutstanding;
+                        return sentAt.size() < kMaxOutstanding ||
+                               receiverDone;
                     });
                 }
+                if (receiverDone)
+                    return;
                 sentAt.emplace_back(nowNs(),
                                     command.op ==
                                         svc::Command::Op::Tick);
             }
-            sendAll(fd, bytes);
+            try {
+                client.send(command);
+            } catch (const std::exception &) {
+                return;
+            }
         }
-        std::lock_guard<std::mutex> lock(mutex);
-        senderDone = true;
     });
 
     result.latenciesNs.reserve(options.ops);
+    std::string unit;
     for (std::uint64_t done = 0; done < options.ops; ++done) {
-        if (!replies.readLine(unit)) {
+        try {
+            unit = client.readReply();
+        } catch (const std::exception &) {
             result.failed = true;
             break;
         }
@@ -834,9 +697,13 @@ runOpenLoop(const CliOptions &options, std::size_t conn,
         if (replyIsError(unit))
             ++result.errors;
     }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        receiverDone = true;
+    }
+    spaceFreed.notify_one();
     sender.join();
     result.liveAtEnd = stream.liveCount();
-    ::close(fd);
 }
 
 /** Nearest-rank percentile of a sorted sample. */

@@ -8,7 +8,7 @@
  * Usage:
  *   ref_serve [--capacity C0,C1] [--hysteresis H] [--assoc N]
  *             [--pooled]
- *             [--journal DIR] [--fsync-every N] [--snapshot-every N]
+ *             [--journal DIR] [--snapshot-every N]
  *             [--fsync-policy every:N|group:BYTES,USEC]
  *             [--selfcheck] [--strict] [--echo] [--file PATH]
  *             [--metrics-out PATH] [--fairness-out PATH]
@@ -162,8 +162,7 @@ usage(const char *argv0, const std::string &error = "")
         << "usage: " << argv0
         << " [--capacity C0,C1] [--hysteresis H] [--assoc N]\n"
            "          [--pooled]\n"
-           "          [--journal DIR] [--fsync-every N] "
-           "[--snapshot-every N]\n"
+           "          [--journal DIR] [--snapshot-every N]\n"
            "          [--fsync-policy every:N|group:BYTES,USEC]\n"
            "          [--follow HOST:PORT] [--promote-timeout MS]\n"
            "          [--heartbeat-interval MS]\n"
@@ -272,9 +271,6 @@ parseArgs(int argc, char **argv)
                 parseNumber(argv[0], arg, next()));
             if (options.traceSample == 0)
                 usage(argv[0], "--trace-sample must be positive");
-        } else if (arg == "--fsync-every") {
-            options.fsyncEvery = static_cast<std::uint64_t>(
-                parseNumber(argv[0], arg, next()));
         } else if (arg == "--fsync-policy") {
             const std::string value = next();
             if (value.rfind("every:", 0) == 0) {
